@@ -22,7 +22,10 @@
  * - TEMPEST_BENCHMARKS: comma-separated benchmark subset
  * - TEMPEST_SEED: base seed for per-run seed derivation
  * - TEMPEST_SMOKE: set for a fast CI pass (200,000 cycles)
- * - TEMPEST_BENCH_JSON: output path (default BENCH_wallclock.json)
+ * - TEMPEST_BENCH_JSON: write the JSON record to this path. Unset,
+ *   no file is written: the committed BENCH_wallclock.json history
+ *   has one writer, tools/record_bench.py, and a plain bench run
+ *   from the checkout root must not overwrite it.
  */
 
 #include <chrono>
@@ -646,9 +649,10 @@ run()
     std::printf("\n");
 
     const char* json = std::getenv("TEMPEST_BENCH_JSON");
-    writeJson(json ? json : "BENCH_wallclock.json", timings,
-              warm_fork, fabric_timing, cmp_timing, benchmarks,
-              cycles);
+    if (json != nullptr && *json != '\0') {
+        writeJson(json, timings, warm_fork, fabric_timing,
+                  cmp_timing, benchmarks, cycles);
+    }
     return 0;
 }
 

@@ -46,7 +46,7 @@ namespace tempest
 {
 
 /** Current checkpoint format version. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** FourCC chunk id from a 4-character tag. */
 constexpr std::uint32_t

@@ -194,12 +194,10 @@ CmpSimulator::step(std::uint64_t cycles)
         const bool stalled = e.stallRemaining > 0;
         stalledScratch_[static_cast<std::size_t>(j)] =
             stalled ? 1 : 0;
-        if (stalled) {
+        if (stalled)
             e.core->stallCycles(cycles, iv);
-        } else {
-            for (std::uint64_t c = 0; c < cycles; ++c)
-                e.core->tick(iv);
-        }
+        else
+            e.core->run(cycles, iv);
     }
 
     const Seconds dt = static_cast<double>(cycles) /

@@ -66,12 +66,10 @@ void
 Simulator::runInterval(bool stalled, std::uint64_t cycles)
 {
     ActivityRecord interval;
-    if (stalled) {
+    if (stalled)
         core_->stallCycles(cycles, interval);
-    } else {
-        for (std::uint64_t c = 0; c < cycles; ++c)
-            core_->tick(interval);
-    }
+    else
+        core_->run(cycles, interval);
 
     {
         TEMPEST_PROF_SCOPE(ProfStage::Power);

@@ -94,6 +94,7 @@ saveActivity(StateWriter& w, const ActivityRecord& a)
     w.u64(a.cycles);
     w.u64(a.stallCycles);
     w.u64(a.instructions);
+    w.u64(a.skippedCycles);
 }
 
 void
@@ -134,6 +135,7 @@ loadActivity(StateReader& r, ActivityRecord& a)
     a.cycles = r.u64();
     a.stallCycles = r.u64();
     a.instructions = r.u64();
+    a.skippedCycles = r.u64();
 }
 
 } // namespace tempest

@@ -86,6 +86,12 @@ struct ActivityRecord
     std::uint64_t stallCycles = 0;
     /** Instructions committed in this interval. */
     std::uint64_t instructions = 0;
+    /**
+     * Cycles OooCore::run() skipped as provably idle (included in
+     * `cycles`). Observation only: the skip is bit-identical to
+     * ticking, so the result hashes leave this count out.
+     */
+    std::uint64_t skippedCycles = 0;
 
     /** Zero all counts. */
     void clear() { *this = ActivityRecord{}; }

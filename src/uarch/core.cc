@@ -355,22 +355,28 @@ OooCore::doIssue(ActivityRecord& activity)
     }
 }
 
+bool
+OooCore::dispatchReady() const
+{
+    if (fetchCount_ == 0 || robCount_ >= config_.activeListEntries)
+        return false;
+    const auto cls = static_cast<OpClass>(
+        fetchCls_[static_cast<std::size_t>(fetchHead_)]);
+    if (isMemClass(cls) && lsqCount_ >= config_.lsqEntries)
+        return false;
+    return (isFpClass(cls) ? fpIq_ : intIq_).canDispatch();
+}
+
 void
 OooCore::doDispatch(ActivityRecord& activity)
 {
     for (int n = 0; n < config_.issueWidth; ++n) {
-        if (fetchCount_ == 0)
-            return;
-        if (robCount_ >= config_.activeListEntries)
+        if (!dispatchReady())
             return;
         const auto at = static_cast<std::size_t>(fetchHead_);
         const auto cls = static_cast<OpClass>(fetchCls_[at]);
         const bool is_mem = isMemClass(cls);
-        if (is_mem && lsqCount_ >= config_.lsqEntries)
-            return;
         IssueQueue& iq = isFpClass(cls) ? fpIq_ : intIq_;
-        if (!iq.canDispatch())
-            return;
 
         const std::uint64_t seq = fetchSeq_[at];
         const std::uint8_t flags = fetchFlags_[at];
@@ -427,17 +433,30 @@ OooCore::setFetchInterval(int interval)
     fetchInterval_ = interval;
 }
 
+Cycle
+OooCore::fetchReadyCycle() const
+{
+    // Waiting on an event: the mispredicted branch resolving, or
+    // dispatch draining the buffer below 3 groups.
+    if (fetchBlocked_ || fetchCount_ >= 3 * config_.fetchWidth)
+        return kNever;
+    // Waiting on time: the redirect penalty, then the throttle
+    // phase (fetch only on multiples of the interval).
+    Cycle c = std::max(cycle_, fetchResumeCycle_);
+    if (fetchInterval_ > 1) {
+        const auto interval = static_cast<Cycle>(fetchInterval_);
+        const Cycle phase = c % interval;
+        if (phase != 0)
+            c += interval - phase;
+    }
+    return c;
+}
+
 void
 OooCore::doFetch(ActivityRecord& activity)
 {
-    if (fetchBlocked_ || cycle_ < fetchResumeCycle_)
-        return;
-    if (fetchInterval_ > 1 &&
-        cycle_ % static_cast<Cycle>(fetchInterval_) != 0) {
-        return; // thermally throttled
-    }
-    if (fetchCount_ >= 3 * config_.fetchWidth)
-        return; // fetch buffer full
+    if (fetchReadyCycle() != cycle_)
+        return; // blocked, redirecting, throttled, or buffer full
     ++activity.l1iAccesses;
     // Bulk-copy the fetch group straight from the generator's batch
     // ring (span memcpy per field array) instead of gathering and
@@ -528,6 +547,61 @@ OooCore::tick(ActivityRecord& activity)
     }
     ++cycle_;
     ++activity.cycles;
+}
+
+Cycle
+OooCore::quiescentUntil(Cycle end) const
+{
+    // Cheapest, most often failing tests first: a completion this
+    // cycle (writeback), compaction or select work, a completed
+    // active-list head (commit), then dispatch and fetch.
+    if (wheelCount_[cycle_ & wheelMask_] != 0)
+        return cycle_;
+    if (!intIq_.quiescent() || !fpIq_.quiescent())
+        return cycle_;
+    if (robCount_ > 0 &&
+        ((robCompleted_[robHead_ >> 6] >> (robHead_ & 63)) & 1) != 0)
+        return cycle_;
+    if (dispatchReady())
+        return cycle_;
+    const Cycle fetch_at = fetchReadyCycle();
+    if (fetch_at == cycle_)
+        return cycle_;
+
+    // Idle. Nothing but the clock moves until a completion lands
+    // or fetch wakes on time, so the next state change is the
+    // first of those (or the end of the run). Every scheduled
+    // completion is less than one wheel revolution away, so the
+    // scan stops there.
+    const Cycle horizon =
+        std::min({end, fetch_at, cycle_ + wheelMask_ + 1});
+    for (Cycle c = cycle_ + 1; c < horizon; ++c) {
+        if (wheelCount_[c & wheelMask_] != 0)
+            return c;
+    }
+    return horizon;
+}
+
+void
+OooCore::run(std::uint64_t n, ActivityRecord& activity)
+{
+    const Cycle end = cycle_ + n;
+    while (cycle_ < end) {
+        const Cycle wake = quiescentUntil(end);
+        if (wake == cycle_) {
+            tick(activity);
+            continue;
+        }
+        // k idle cycles: each would only have run both queues'
+        // compactStep early-out (clock gate + occupancy charge)
+        // and advanced the clock.
+        const std::uint64_t k = wake - cycle_;
+        intIq_.chargeCycles(k, activity);
+        fpIq_.chargeCycles(k, activity);
+        cycle_ = wake;
+        activity.cycles += k;
+        activity.skippedCycles += k;
+    }
 }
 
 void

@@ -5,10 +5,14 @@
  * stream.
  *
  * Pipeline per tick: writeback -> compaction -> commit -> issue
- * (select) -> dispatch/rename -> fetch. The core knows nothing
- * about temperature; the DTM layer steers it through the exposed
- * control surface (issue-queue mode toggling, FU turnoff masks,
- * register-file mapping, round-robin select, stall cycles).
+ * (select) -> dispatch/rename -> fetch. tick() is the single-cycle
+ * step; run(n) is the only multi-cycle loop, and it jumps over
+ * provably idle cycles (quiescence skipping, DESIGN.md §18) with
+ * results bit-identical to n calls of tick(). The core knows
+ * nothing about temperature; the DTM layer steers it through the
+ * exposed control surface (issue-queue mode toggling, FU turnoff
+ * masks, register-file mapping, round-robin select, fetch
+ * throttling, stall cycles).
  */
 
 #ifndef TEMPEST_UARCH_CORE_HH
@@ -55,6 +59,18 @@ class OooCore
     void tick(ActivityRecord& activity);
 
     /**
+     * Simulate n cycles, accumulating activity; bit-identical to
+     * n calls of tick(). A cycle in which no stage can change
+     * state is not ticked: the core jumps to the next cycle that
+     * can (a completion, a fetch wake-up, or the end of the n),
+     * charging the skipped cycles' clock-gate and occupancy
+     * activity in bulk and counting them in
+     * ActivityRecord::skippedCycles. The skip is recomputed from
+     * state every cycle, so it adds no checkpointed state.
+     */
+    void run(std::uint64_t n, ActivityRecord& activity);
+
+    /**
      * Advance one thermally-stalled cycle: no fetch, issue or
      * commit; only cycle/stall accounting (clocks gated).
      */
@@ -66,7 +82,7 @@ class OooCore
     Cycle cycle() const { return cycle_; }
     std::uint64_t committed() const { return committed_; }
 
-    /** Committed instructions per non-stalled... per total cycle. */
+    /** Committed instructions per cycle, stall cycles included. */
     double
     ipc() const
     {
@@ -143,6 +159,32 @@ class OooCore
     void doIssue(ActivityRecord& activity);
     void doDispatch(ActivityRecord& activity);
     void doFetch(ActivityRecord& activity);
+
+    /** Never: a wake-up that only a pipeline event can bring. */
+    static constexpr Cycle kNever = ~Cycle{0};
+
+    /**
+     * First cycle at or after cycle_ in which fetch runs, if
+     * nothing else changes: cycle_ when it runs now, a later cycle
+     * when it waits only on time (redirect penalty, throttle
+     * phase), kNever when it waits on an event (unresolved
+     * mispredicted branch, full fetch buffer).
+     */
+    Cycle fetchReadyCycle() const;
+
+    /** @return true if dispatch moves the fetch-buffer head this
+     * cycle: an op is waiting and the active list, LSQ (for a
+     * memory op) and its issue queue all have room. */
+    bool dispatchReady() const;
+
+    /**
+     * The quiescence test run() makes before every cycle. Returns
+     * cycle_ if tick() could change state this cycle. Otherwise
+     * every cycle up to the returned one is idle: the earliest of
+     * `end`, the next non-empty completion-wheel slot (scanned at
+     * most one revolution ahead) and the fetch wake-up.
+     */
+    Cycle quiescentUntil(Cycle end) const;
 
     /** @return true if a producer seq is already complete. */
     bool producerReady(std::uint64_t producer_seq) const;

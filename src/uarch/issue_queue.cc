@@ -320,31 +320,23 @@ void
 IssueQueue::compactStepImpl(ActivityRecord& activity,
                             bool force_generic)
 {
-    const int q = queueIndex();
-
-    // Clock-gating control logic runs every cycle.
-    ++activity.iqClockGateCycles[q];
-
     // Early out when there is nothing to compact: no entries were
     // issued last cycle and the occupied region is hole-free
     // (tail == valid count). The full pass below would then only
     // rebuild the ready/waiting bitmaps with identical contents —
     // they are kept consistent incrementally by dispatch(),
-    // markIssued() and wakeMatching() instead. Occupancy
-    // accounting still runs: the valid entries burn leakage
-    // whether or not anything moves.
-    if (pendingInvalidCount_ != 0 || tailLogical_ != count_) {
+    // markIssued() and wakeMatching() instead.
+    if (!compactionIdle()) {
         if (words_ == 1 && !force_generic)
             compactWordPass(activity);
         else
             compactGenericPass(activity);
     }
 
-    // Idle/leakage accounting: valid entry-cycles per half.
-    activity.iqOccupiedCycles[q][0] +=
-        static_cast<std::uint64_t>(halfCount_[0]);
-    activity.iqOccupiedCycles[q][1] +=
-        static_cast<std::uint64_t>(halfCount_[1]);
+    // Clock-gating control logic runs every cycle, and the valid
+    // entries burn leakage whether or not anything moves
+    // (occupancy is taken after the pass).
+    chargeCycles(1, activity);
 }
 
 void

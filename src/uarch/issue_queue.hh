@@ -252,6 +252,44 @@ class IssueQueue
     void compactStep(ActivityRecord& activity);
 
     /**
+     * @return true if compactStep() would take its early-out (no
+     * entry issued last cycle, no holes below the tail) and select
+     * has nothing to grant (the ready bitmap is empty). A cycle in
+     * which this holds for both queues leaves the queue state
+     * untouched; only chargeCycles(1) is observable.
+     */
+    bool
+    quiescent() const
+    {
+        if (!compactionIdle())
+            return false;
+        for (int w = 0; w < words_; ++w) {
+            if (ready_[w] != 0)
+                return false;
+        }
+        return true;
+    }
+
+    /**
+     * The per-cycle charges every compactStep() makes, for n
+     * cycles at once: the always-on clock-gate control logic and
+     * the per-half valid-entry occupancy. compactStep() ends with
+     * chargeCycles(1); the core's quiescence skip charges k skipped
+     * cycles with chargeCycles(k), which is exactly what k
+     * early-out compactStep() calls would have charged.
+     */
+    void
+    chargeCycles(std::uint64_t n, ActivityRecord& activity) const
+    {
+        const int q = queueIndex();
+        activity.iqClockGateCycles[q] += n;
+        activity.iqOccupiedCycles[q][0] +=
+            n * static_cast<std::uint64_t>(halfCount_[0]);
+        activity.iqOccupiedCycles[q][1] +=
+            n * static_cast<std::uint64_t>(halfCount_[1]);
+    }
+
+    /**
      * Flip the head/tail configuration. Physical contents stay in
      * place; logical positions are re-derived, so relative priority
      * of in-flight instructions changes transiently (§2.1.1).
@@ -321,6 +359,14 @@ class IssueQueue
 
   private:
     int queueIndex() const { return static_cast<int>(kind_); }
+
+    /** compactStep() has nothing to move: no pending invalids and
+     * the occupied region is hole-free (tail == valid count). */
+    bool
+    compactionIdle() const
+    {
+        return pendingInvalidCount_ == 0 && tailLogical_ == count_;
+    }
 
     /** Build the struct view of one physical slot. */
     IqEntry materialize(int phys) const;

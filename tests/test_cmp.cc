@@ -185,6 +185,10 @@ TEST(Cmp, MigrationFiresAndPricesTransfer)
 
     ASSERT_GE(r.migration.migrations, 1u);
     EXPECT_GT(r.migration.bytesMoved, 0u);
+    // The migrated context is the engine state only; interval
+    // activity counters (skippedCycles among them) stay behind, so
+    // the priced byte count is pinned.
+    EXPECT_EQ(r.migration.bytesMoved, 4'278'346u);
     // Stall = 2 * (base + bytes/bandwidth) per swap, so the charge
     // must exceed the base cost alone on both endpoints.
     EXPECT_GE(r.migration.migrationStallCycles,

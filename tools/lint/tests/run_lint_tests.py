@@ -53,7 +53,7 @@ CASES = {
     ]),
     "bad_chunk_version_drift.cc": (1, [
         "class DriftClass changed its serializer call sequence",
-        "kCheckpointVersion is still 1",
+        "kCheckpointVersion is still 2",
     ], ["--chunk-registry",
         os.path.join(FIXTURES, "chunk_registry_drift.json")]),
     "good_chunk_registered.cc": (0, [],

@@ -229,6 +229,17 @@ runCmp(const Config& cfg, std::uint64_t cycles,
                     static_cast<unsigned long long>(
                         c.dtm.globalStalls));
     }
+    // Skipped (provably idle) share of all core cycles.
+    std::uint64_t core_cycles = 0;
+    std::uint64_t skipped = 0;
+    for (const SimResult& c : r.cores) {
+        core_cycles += c.cycles;
+        skipped += c.activity.skippedCycles;
+    }
+    std::printf("skipped_share %.4f\n",
+                core_cycles ? static_cast<double>(skipped) /
+                                  static_cast<double>(core_cycles)
+                            : 0.0);
     for (const BlockTempStats& b : r.shared) {
         std::printf("shared %-10s avg %7.2f K   max %7.2f K\n",
                     b.name.c_str(), b.avg, b.max);
@@ -419,6 +430,13 @@ main(int argc, char** argv)
                     static_cast<unsigned long long>(
                         r.stallCycles),
                     100.0 * r.stallCycles / r.cycles);
+        // Share of cycles OooCore::run() skipped as provably idle
+        // (quiescence skipping; bit-identical to ticking them).
+        std::printf("skipped_share %.4f\n",
+                    r.cycles ? static_cast<double>(
+                                   r.activity.skippedCycles) /
+                                   static_cast<double>(r.cycles)
+                             : 0.0);
         std::printf("stalls       %llu\n",
                     static_cast<unsigned long long>(
                         r.dtm.globalStalls));
