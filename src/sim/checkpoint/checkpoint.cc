@@ -1,10 +1,13 @@
 #include "sim/checkpoint/checkpoint.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/log.hh"
@@ -45,21 +48,26 @@ CheckpointWriter::chunk(std::uint32_t id)
 std::string
 CheckpointWriter::serialize() const
 {
+    constexpr std::size_t kRecordBytes = 4 + 4 + 8 + 8;
+    std::size_t total = sizeof(kMagic) + 4 + 4;
+    for (const Chunk& c : chunks_)
+        total += kRecordBytes + c.payload.size();
+
     StateWriter out;
-    for (const char c : kMagic)
-        out.u8(static_cast<std::uint8_t>(c));
+    out.reserve(total);
+    std::uint64_t magic; // the 8 magic bytes, in file order
+    std::memcpy(&magic, kMagic, sizeof(magic));
+    out.u64(magic);
     out.u32(kCheckpointVersion);
     out.u32(static_cast<std::uint32_t>(chunks_.size()));
     for (const Chunk& c : chunks_) {
         const std::string& payload = c.payload.bytes();
         out.u32(c.id);
         out.u32(0); // flags, reserved
-        out.u64(payload.size());
-        for (const char b : payload)
-            out.u8(static_cast<std::uint8_t>(b));
-        out.u64(fnv1a64(payload.data(), payload.size()));
+        out.blob(payload.data(), payload.size()); // u64 length, payload
+        out.u64(checksum64(payload.data(), payload.size()));
     }
-    return out.bytes();
+    return std::move(out).take();
 }
 
 CheckpointReader::CheckpointReader(std::string_view bytes)
@@ -79,9 +87,6 @@ CheckpointReader::CheckpointReader(std::string_view bytes)
               ")");
     }
     const std::uint32_t count = r.u32();
-    // Chunk payloads are views into `bytes`; track the absolute
-    // offset so the views do not copy.
-    std::size_t offset = sizeof(kMagic) + 8;
     for (std::uint32_t i = 0; i < count; ++i) {
         if (r.remaining() < 16) {
             fatal("checkpoint truncated in chunk header ", i + 1,
@@ -90,20 +95,17 @@ CheckpointReader::CheckpointReader(std::string_view bytes)
         const std::uint32_t id = r.u32();
         (void)r.u32(); // flags
         const std::uint64_t len = r.u64();
-        offset += 16;
-        if (r.remaining() < len + 8) {
+        // Written so that no huge `len` can wrap the comparison.
+        if (r.remaining() < 8 || len > r.remaining() - 8) {
             fatal("checkpoint truncated inside chunk '",
                   tagName(id), "' (payload ", len, " bytes, ",
                   r.remaining(), " left)");
         }
-        const std::string_view payload = bytes.substr(
-            offset, static_cast<std::size_t>(len));
-        for (std::uint64_t skip = 0; skip < len; ++skip)
-            (void)r.u8();
+        const std::string_view payload =
+            r.view(static_cast<std::size_t>(len));
         const std::uint64_t stored = r.u64();
-        offset += static_cast<std::size_t>(len) + 8;
         const std::uint64_t computed =
-            fnv1a64(payload.data(), payload.size());
+            checksum64(payload.data(), payload.size());
         if (stored != computed) {
             fatal("checkpoint chunk '", tagName(id),
                   "' checksum mismatch (stored 0x", std::hex,
@@ -203,18 +205,32 @@ writeCheckpointFile(const std::string& path,
 std::string
 readCheckpointFile(const std::string& path)
 {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
         fatal("cannot open checkpoint '", path, "'");
-    std::string bytes;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.append(buf, n);
-    const bool err = std::ferror(f) != 0;
-    std::fclose(f);
-    if (err)
-        fatal("read error on checkpoint '", path, "'");
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
+        fatal("cannot stat checkpoint '", path, "'");
+    }
+    // Checkpoints are published by rename(), so the size cannot
+    // change under the reader: size the buffer once, read it full.
+    std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    if (got != bytes.size()) {
+        fatal("read error on checkpoint '", path, "' (", got,
+              " of ", bytes.size(), " bytes)");
+    }
     return bytes;
 }
 

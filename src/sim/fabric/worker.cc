@@ -64,14 +64,14 @@ executeJob(const FabricJob& job)
         config.runSeed = job.seed;
         if (job.kind == FabricJob::Kind::Warm) {
             // Build the benchmark's warm snapshot and publish it
-            // atomically; the hash of the snapshot bytes lets the
-            // coordinator (and tests) fingerprint warm state.
+            // atomically; the checksum of the snapshot bytes lets
+            // the coordinator (and tests) fingerprint warm state.
             const std::string bytes =
                 experiments::warmSnapshot(config, job.benchmark,
                                           job.seed, job.cycles);
             writeCheckpointFile(job.snapshotPath, bytes);
             res.resultHash =
-                fnv1a64(bytes.data(), bytes.size());
+                checksum64(bytes.data(), bytes.size());
         } else if (!job.snapshotPath.empty()) {
             const std::string snapshot =
                 readCheckpointFile(job.snapshotPath);

@@ -8,7 +8,10 @@
  * a straight-through run — per config, per benchmark, through the
  * in-memory fork path and through a disk round-trip. On top of
  * that: corruption (truncation, flipped payload bytes) must fail
- * with a clear FatalError, identity mismatches must be rejected,
+ * with a clear FatalError — every single-bit flip in a chunk is
+ * caught by the v3 checksum and named by chunk — while payloads
+ * stay byte-identical to format v2; identity mismatches must be
+ * rejected,
  * unknown chunks must be skipped (forward compatibility), and the
  * warm-fork sweep must be bit-identical at 1/2/8 threads and
  * between the in-memory and spill-to-disk snapshot paths.
@@ -33,6 +36,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -40,6 +44,7 @@
 
 #include "common/log.hh"
 #include "sim/checkpoint/checkpoint.hh"
+#include "sim/cmp/cmp_simulator.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "uarch/bpred.hh"
@@ -356,6 +361,228 @@ TEST(Checkpoint, ReaderBoundsChecksChunkPayloads)
     EXPECT_EQ(r.u32(), 7u);
     EXPECT_TRUE(r.atEnd());
     EXPECT_THROW(r.u32(), FatalError); // reads past the payload
+}
+
+// ---- container integrity (format v3 chunk checksum) ----
+
+/** One chunk record of a serialized checkpoint. */
+struct ChunkRecord
+{
+    std::string tag;
+    std::size_t start;   // offset of the record's id field
+    std::size_t payload; // offset of the payload
+    std::size_t len;     // payload bytes
+    std::size_t end;     // offset just past the record's checksum
+};
+
+std::uint64_t
+loadU64(const std::string& bytes, std::size_t at)
+{
+    std::uint64_t v;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+}
+
+/** Walk the chunk records of a well-formed checkpoint. */
+std::vector<ChunkRecord>
+chunkRecords(const std::string& bytes)
+{
+    std::uint32_t count;
+    std::memcpy(&count, bytes.data() + 12, sizeof(count));
+    std::vector<ChunkRecord> out;
+    std::size_t at = 16;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        ChunkRecord c;
+        c.tag = bytes.substr(at, 4);
+        c.start = at;
+        c.payload = at + 16;
+        c.len = static_cast<std::size_t>(loadU64(bytes, at + 8));
+        c.end = c.payload + c.len + 8;
+        out.push_back(c);
+        at = c.end;
+    }
+    EXPECT_EQ(at, bytes.size());
+    return out;
+}
+
+/** The FatalError message parsing `bytes` raises ("" if none). */
+std::string
+parseError(const std::string& bytes)
+{
+    try {
+        const CheckpointReader reader(bytes);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+savedAt(const std::string& config, const std::string& benchmark,
+        std::uint64_t cycle)
+{
+    Simulator sim(seededConfig(config, benchmark), spec2000(benchmark));
+    sim.runTo(cycle);
+    return sim.saveCheckpoint();
+}
+
+TEST(Checkpoint, HugeChunkLengthIsATruncationNotAnOverflow)
+{
+    // A length near 2^64 used to wrap `len + 8` in the bounds check.
+    CheckpointWriter cp;
+    cp.chunk(chunkId("AAAA")).u32(7);
+    const std::string good = cp.serialize();
+    for (const std::uint64_t len :
+         {~std::uint64_t{0}, ~std::uint64_t{0} - 7}) {
+        std::string bytes = good;
+        std::memcpy(bytes.data() + 16 + 8, &len, sizeof(len));
+        EXPECT_NE(parseError(bytes).find(
+                      "truncated inside chunk 'AAAA'"),
+                  std::string::npos)
+            << "len " << len << ": " << parseError(bytes);
+    }
+}
+
+TEST(Checkpoint, EverySingleBitFlipInAChunkIsNamed)
+{
+    const std::string bytes = savedAt("iq_toggling", "art", kSaveCycle);
+    const std::vector<ChunkRecord> chunks = chunkRecords(bytes);
+    const auto iq = std::find_if(
+        chunks.begin(), chunks.end(),
+        [](const ChunkRecord& c) { return c.tag == "IQIN"; });
+    ASSERT_NE(iq, chunks.end());
+
+    // A one-chunk container holding the IQIN record keeps the
+    // exhaustive sweep cheap: only that chunk is re-verified.
+    std::string single = bytes.substr(0, 16);
+    const std::uint32_t one = 1;
+    std::memcpy(single.data() + 12, &one, sizeof(one));
+    single += bytes.substr(iq->start, iq->end - iq->start);
+    ASSERT_EQ(parseError(single), "");
+    const std::size_t payload = 16 + 16;
+    std::size_t missed = 0;
+    testing::internal::CaptureStderr(); // one fatal() line per flip
+    for (std::size_t bit = 0; bit < 8 * iq->len; ++bit) {
+        std::string flipped = single;
+        flipped[payload + bit / 8] = static_cast<char>(
+            flipped[payload + bit / 8] ^ (1 << (bit % 8)));
+        if (parseError(flipped).find("chunk 'IQIN' checksum mismatch") ==
+            std::string::npos) {
+            ++missed;
+        }
+    }
+    testing::internal::GetCapturedStderr();
+    EXPECT_EQ(missed, 0u) << "of " << 8 * iq->len << " bit flips";
+}
+
+TEST(Checkpoint, EdgeAndTailByteFlipsNameTheirChunk)
+{
+    const std::string bytes = savedAt("iq_toggling", "art", kSaveCycle);
+    const std::vector<ChunkRecord> chunks = chunkRecords(bytes);
+    bool sawTail = false;
+    testing::internal::CaptureStderr(); // one fatal() line per flip
+    for (const ChunkRecord& c : chunks) {
+        ASSERT_GT(c.len, 0u) << c.tag;
+        std::vector<std::size_t> sites = {c.payload,
+                                          c.payload + c.len - 1};
+        // The bytes after the last whole 32-byte block take the
+        // checksum's byte-wise tail path.
+        if (c.len % 32 != 0) {
+            sawTail = true;
+            for (std::size_t k = c.len - c.len % 32; k < c.len; ++k)
+                sites.push_back(c.payload + k);
+        }
+        for (const std::size_t at : sites) {
+            for (int b = 0; b < 8; ++b) {
+                std::string flipped = bytes;
+                flipped[at] =
+                    static_cast<char>(flipped[at] ^ (1 << b));
+                EXPECT_NE(parseError(flipped).find(
+                              "chunk '" + c.tag + "' checksum"),
+                          std::string::npos)
+                    << c.tag << " byte " << at - c.payload
+                    << " bit " << b;
+            }
+        }
+    }
+    testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(sawTail) << "no chunk exercises the tail bytes";
+}
+
+TEST(Checkpoint, VersionTwoFilesAreRejectedNamingBothVersions)
+{
+    std::string bytes = savedAt("iq_base", "art", kSaveCycle);
+    const std::uint32_t v2 = 2;
+    std::memcpy(bytes.data() + 8, &v2, sizeof(v2));
+    const std::string err = parseError(bytes);
+    EXPECT_NE(err.find("version 2 "), std::string::npos) << err;
+    EXPECT_NE(err.find("reads version " +
+                       std::to_string(kCheckpointVersion)),
+              std::string::npos)
+        << err;
+}
+
+TEST(Checkpoint, SwappedChunkRecordsRestoreBitIdentically)
+{
+    const SimConfig config = seededConfig("iq_toggling", "art");
+    const BenchmarkProfile profile = spec2000("art");
+    Simulator straight(config, profile);
+    const std::uint64_t golden = hashSimResult(straight.run(kRunCycles));
+
+    const std::string bytes = savedAt("iq_toggling", "art", kSaveCycle);
+    const std::vector<ChunkRecord> chunks = chunkRecords(bytes);
+    ASSERT_GE(chunks.size(), 3u);
+    // Swap the first and last records; the middle stays in place.
+    const ChunkRecord& a = chunks.front();
+    const ChunkRecord& b = chunks.back();
+    const std::string swapped =
+        bytes.substr(0, a.start) + bytes.substr(b.start, b.end - b.start) +
+        bytes.substr(a.end, b.start - a.end) +
+        bytes.substr(a.start, a.end - a.start);
+    ASSERT_EQ(swapped.size(), bytes.size());
+    ASSERT_NE(swapped, bytes);
+
+    Simulator resume(config, profile);
+    resume.restoreCheckpoint(swapped);
+    resume.runTo(kRunCycles);
+    EXPECT_EQ(hashSimResult(resume.result()), golden);
+}
+
+/** FNV-1a over the concatenated payloads, checksums excluded. */
+std::uint64_t
+payloadDigest(const std::string& bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const ChunkRecord& c : chunkRecords(bytes))
+        h = fnv1a64(bytes.data() + c.payload, c.len, h);
+    return h;
+}
+
+TEST(Checkpoint, PayloadsAreByteIdenticalToFormatVersionTwo)
+{
+    // Format v3 changed only the chunk checksum. These digests and
+    // sizes were measured with a program linked against the last v2
+    // build: any payload or size change would also change the
+    // context size that prices CMP migrations.
+    const std::string single = savedAt("iq_toggling", "art", 100'000);
+    EXPECT_EQ(single.size(), 1'072'018u);
+    EXPECT_EQ(payloadDigest(single), 0xc0735ab7732155ebULL);
+
+    CmpSimConfig cmp;
+    cmp.base = experiments::iqBase();
+    cmp.cores = 2;
+    cmp.benchmarks = {"art", "mesa"};
+    cmp.migration.enabled = true;
+    cmp.migration.marginK = 400.0;
+    cmp.migration.minGapK = 0.0;
+    cmp.migration.cooldownIntervals = 2;
+    cmp.migration.baseStallCycles = 10'000;
+    cmp.migration.busBytesPerCycle = 64;
+    CmpSimulator sim(cmp);
+    sim.runTo(100'000);
+    const std::string multi = sim.saveCheckpoint();
+    EXPECT_EQ(multi.size(), 2'143'619u);
+    EXPECT_EQ(payloadDigest(multi), 0x3c58c83fde8ac910ULL);
 }
 
 TEST(Checkpoint, BranchPredictorRoundTrips)

@@ -75,11 +75,16 @@ Three checkers guard the invariants the bit-identity test gates
 
   chunks       Checkpoint chunk registry: chunkId("XXXX") FourCCs
                must be globally unique across the tree, and
-               tools/lint/chunk_registry.json pins every class's
-               serializer-call sequence against the current
+               tools/lint/chunk_registry.json pins the serializer-
+               call sequence of every function that writes through
+               a StateWriter& (saveState methods, free helpers like
+               saveActivity, the chunk writes inside the
+               saveCheckpoint methods) against the current
                kCheckpointVersion — changing a sequence without
                bumping the version is a finding; after a bump,
                --update-chunk-registry re-baselines the registry.
+               The version is the one the linted files define (a
+               fixture may define its own), else the tree's.
 
 Annotation grammar is enforced centrally: every ckpt:skip /
 det:allow / lint:allow / proto:skip annotation must carry a
@@ -343,19 +348,89 @@ NON_MEMBER_KEYS = {"using", "typedef", "friend", "template", "operator",
                    "static_assert"}
 
 
-def match_brace(toks, i):
-    """toks[i] is '{'; return index just past its matching '}'."""
+def match_brace(toks, i, open_tok="{", close_tok="}"):
+    """toks[i] is '{' (or open_tok); return index just past its
+    matching '}' (or close_tok)."""
     depth = 0
     while i < len(toks):
         t = toks[i][0]
-        if t == "{":
+        if t == open_tok:
             depth += 1
-        elif t == "}":
+        elif t == close_tok:
             depth -= 1
             if depth == 0:
                 return i + 1
         i += 1
     return len(toks)
+
+
+def _paren_end(toks, i):
+    """toks[i] is '('; return the index of its matching ')'."""
+    return match_brace(toks, i, "(", ")") - 1
+
+
+# Tokens allowed between a signature's ')' and its body's '{' (or a
+# trailing annotation).
+SIG_QUALIFIERS = {"const", "noexcept", "override", "final", "volatile",
+                  "mutable", "&"}
+# Identifiers followed by '(' that never name a function definition.
+NOT_FUNCTIONS = {"if", "for", "while", "switch", "catch", "return",
+                 "sizeof", "alignof", "alignas", "decltype",
+                 "static_assert", "noexcept", "throw", "new",
+                 "delete"}
+
+
+class FuncDef:
+    def __init__(self, name, idx, close, body):
+        self.name = name    # qualified: `Cls::f` out of line or inline
+        self.idx = idx      # index of the name token
+        self.close = close  # index of the signature's ')'
+        self.body = body    # body tokens, braces included
+
+
+def function_definitions(toks):
+    """Every function definition in a token stream, in source order.
+    Class bodies are entered, so inline methods are found; function
+    bodies are skipped."""
+    scopes = []  # [(class name, index past its closing brace)]
+    i = 0
+    n = len(toks)
+    while i < n:
+        while scopes and i >= scopes[-1][1]:
+            scopes.pop()
+        t = toks[i][0]
+        if t in ("class", "struct") and not (
+                i > 0 and toks[i - 1][0] == "enum"):
+            j = i + 1
+            while j < n and toks[j][0] not in ("{", ";", "(", ")", "="):
+                j += 1
+            if j < n and toks[j][0] == "{" and is_ident(toks[i + 1][0]):
+                scopes.append((toks[i + 1][0], match_brace(toks, j)))
+                i = j + 1
+                continue
+        if not (is_ident(t) and t not in NOT_FUNCTIONS and
+                i + 1 < n and toks[i + 1][0] == "(" and
+                (i == 0 or toks[i - 1][0] not in (".", "->"))):
+            i += 1
+            continue
+        close = _paren_end(toks, i + 1)
+        j = close + 1
+        while j < n and toks[j][0] in SIG_QUALIFIERS:
+            j += 1
+        if j >= n or toks[j][0] != "{":
+            i += 1
+            continue
+        body_end = match_brace(toks, j)
+        name = t
+        k = i
+        while (k >= 2 and toks[k - 1][0] == "::" and
+               is_ident(toks[k - 2][0])):
+            name = toks[k - 2][0] + "::" + name
+            k -= 2
+        if "::" not in name and scopes:
+            name = scopes[-1][0] + "::" + name
+        yield FuncDef(name, i, close, toks[j:body_end])
+        i = body_end
 
 
 def member_names_from_stmt(stmt):
@@ -1092,8 +1167,6 @@ def check_hygiene(path, raw_text, toks, findings):
 # --------------------------------------------------------------------------
 
 LOCK_TYPES = {"MutexLock", "lock_guard", "unique_lock", "scoped_lock"}
-SIG_QUALIFIERS = {"const", "noexcept", "override", "final", "volatile",
-                  "mutable"}
 
 
 def _guard_of(arg_toks):
@@ -1419,34 +1492,10 @@ class ProtoFunc:
 def collect_proto_functions(path, toks):
     """encode*/parse*/decode* function *definitions* in one file."""
     funcs = {}
-    n = len(toks)
-    i = 0
-    while i < n:
-        t, ln = toks[i]
-        if (is_ident(t) and PROTO_NAME_RE.match(t) and i + 1 < n and
-                toks[i + 1][0] == "("):
-            d = 0
-            j = i + 1
-            while j < n:
-                tt = toks[j][0]
-                if tt == "(":
-                    d += 1
-                elif tt == ")":
-                    d -= 1
-                    if d == 0:
-                        break
-                j += 1
-            k = j + 1
-            while k < n and toks[k][0] in SIG_QUALIFIERS:
-                k += 1
-            if k < n and toks[k][0] == "{":
-                end = match_brace(toks, k)
-                end_line = toks[end - 1][1] if end - 1 < n else ln
-                funcs[t] = ProtoFunc(t, path, ln, end_line,
-                                     toks[k:end])
-                i = end
-                continue
-        i += 1
+    for fn in function_definitions(toks):
+        t, ln = toks[fn.idx]
+        if PROTO_NAME_RE.match(t):
+            funcs[t] = ProtoFunc(t, path, ln, fn.body[-1][1], fn.body)
     return funcs
 
 
@@ -1471,6 +1520,17 @@ def _proto_skips(annotations, start_line, end_line):
     return keys
 
 
+def _serializer_call(toks, i, var_names):
+    """The method of a `<var>.<serializer method>(` call starting at
+    toks[i] through one of var_names, else None."""
+    if (i + 3 < len(toks) and toks[i][0] in var_names and
+            toks[i + 1][0] == "." and
+            toks[i + 2][0] in SERIALIZER_METHODS and
+            toks[i + 3][0] == "("):
+        return toks[i + 2][0]
+    return None
+
+
 def _codec_sequence(body_toks):
     """Serializer calls through locally declared StateWriter /
     StateReader variables, in order: [(method, line)]."""
@@ -1481,14 +1541,10 @@ def _codec_sequence(body_toks):
                 is_ident(body_toks[i + 1][0]):
             var_names.add(body_toks[i + 1][0])
     out = []
-    i = 0
-    while i + 3 < n:
-        if (body_toks[i][0] in var_names and
-                body_toks[i + 1][0] == "." and
-                body_toks[i + 2][0] in SERIALIZER_METHODS and
-                body_toks[i + 3][0] == "("):
-            out.append((body_toks[i + 2][0], body_toks[i][1]))
-        i += 1
+    for i in range(n):
+        method = _serializer_call(body_toks, i, var_names)
+        if method:
+            out.append((method, body_toks[i][1]))
     return out
 
 
@@ -1567,24 +1623,32 @@ def check_protocol(path, toks, annotations, cache, findings):
 
 # --------------------------------------------------------------------------
 # Chunk-registry checker: FourCC uniqueness plus a committed
-# baseline (tools/lint/chunk_registry.json) of every class's
-# serializer-call sequence against the current kCheckpointVersion.
-# A sequence change without a version bump is exactly the failure
-# the versioned checkpoint format exists to prevent: an old-format
-# file read by new code with no way to tell.
+# baseline (tools/lint/chunk_registry.json) of the serializer-call
+# sequence of every function that writes through a StateWriter&
+# (class saveState methods, free helpers such as saveActivity, and
+# the inline chunk writes of the saveCheckpoint methods) against
+# the current kCheckpointVersion. A sequence change without a
+# version bump is exactly the failure the versioned checkpoint
+# format exists to prevent: an old-format file read by new code
+# with no way to tell.
 # --------------------------------------------------------------------------
 
 CHUNK_RE = re.compile(r'chunkId\s*\(\s*"([^"]*)"\s*\)')
 VERSION_RE = re.compile(r"kCheckpointVersion\s*=\s*(\d+)")
 
 
-def current_checkpoint_version(root, cache):
-    path = os.path.join(root, "src", "sim", "checkpoint",
-                        "checkpoint.hh")
-    if not os.path.exists(path):
-        return None
-    m = VERSION_RE.search(cache.get_raw(path))
-    return int(m.group(1)) if m else None
+def current_checkpoint_version(files, root, cache):
+    """kCheckpointVersion as defined by the linted files, else by the
+    tree's checkpoint.hh. A fixture that defines its own version is
+    therefore checked against that version, not the tree's."""
+    headers = [os.path.join(root, "src", "sim", "checkpoint",
+                            "checkpoint.hh")]
+    for path in list(files) + headers:
+        if os.path.exists(path):
+            m = VERSION_RE.search(cache.get_scrubbed_keep_strings(path))
+            if m:
+                return int(m.group(1))
+    return None
 
 
 def collect_fourccs(files, cache):
@@ -1600,29 +1664,130 @@ def collect_fourccs(files, cache):
     return tags
 
 
-def serializer_registry(classes):
-    """Class name -> saveState serializer-method sequence."""
-    return {name: [m for m, _l, _i in serializer_sequence(cls.save)]
-            for name, cls in classes.items() if cls.save}
+def _top_level_args(toks, open_i, close_i):
+    """Token-text lists of the comma-separated arguments."""
+    args, cur, depth = [], [], 0
+    for t, _ln in toks[open_i + 1:close_i]:
+        if t in ("(", "[", "{"):
+            depth += 1
+        elif t in (")", "]", "}"):
+            depth -= 1
+        if t == "," and depth == 0:
+            args.append(cur)
+            cur = []
+        else:
+            cur.append(t)
+    if cur:
+        args.append(cur)
+    return args
 
 
-def update_chunk_registry(files, cache, classes, registry_path,
-                          root):
+def _callee_text(toks, open_i):
+    """Source text of the callee in front of toks[open_i] == '(':
+    `e.core->stream().saveState` (inner argument lists elided)."""
+    parts = []
+    j = open_i - 1
+    while j >= 0:
+        t = toks[j][0]
+        if is_ident(t) or t in (".", "->", "::"):
+            parts.insert(0, t)
+            j -= 1
+        elif t == ")":
+            depth = 0
+            while j >= 0:
+                if toks[j][0] == ")":
+                    depth += 1
+                elif toks[j][0] == "(":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j -= 1
+            parts.insert(0, "()")
+            j -= 1
+        else:
+            break
+    return "".join(parts)
+
+
+def _writer_sequence(body, writers):
+    """Serializer calls through the writer variables, plus the
+    structure around them: `chunk:<id>` for each CheckpointWriter
+    chunk opened and `call:<callee>` for each call a writer (or a
+    fresh chunk) is handed to, all in source order, as
+    [(entry, line)]."""
+    seq = []
+    for i in range(len(body) - 3):
+        t = body[i][0]
+        method = _serializer_call(body, i, writers)
+        if method:
+            seq.append((method, body[i][1]))
+        elif (t == "chunk" and body[i - 1][0] in (".", "->") and
+              body[i + 1][0] == "("):
+            end = _paren_end(body, i + 1)
+            seq.append(("chunk:" +
+                        "".join(x for x, _ in body[i + 2:end]),
+                        body[i][1]))
+        elif t == "(" and i > 0 and is_ident(body[i - 1][0]):
+            end = _paren_end(body, i)
+            for arg in _top_level_args(body, i, end):
+                if ((len(arg) == 1 and arg[0] in writers) or
+                        (len(arg) > 2 and arg[1] in (".", "->") and
+                         arg[2] == "chunk")):
+                    seq.append(("call:" + _callee_text(body, i),
+                                body[i][1]))
+                    break
+    return seq
+
+
+def collect_serializers(files, cache):
+    """Qualified function name -> (path, line, [(entry, line)]) for
+    every function definition that writes through a StateWriter& (a
+    parameter or a local reference)."""
+    out = {}
+    for path in files:
+        apath = os.path.abspath(path)
+        toks, _ann = cache.get_tokens(apath)
+        for fn in function_definitions(toks):
+            writers = set()
+            for arg in _top_level_args(toks, fn.idx + 1, fn.close):
+                if "StateWriter" in arg and "&" in arg:
+                    writers.add([a for a in arg if is_ident(a)][-1])
+            body = fn.body
+            for k in range(len(body) - 3):
+                if (body[k][0] == "StateWriter" and
+                        body[k + 1][0] == "&" and
+                        is_ident(body[k + 2][0]) and
+                        body[k + 3][0] == "="):
+                    writers.add(body[k + 2][0])
+            if writers:
+                out[fn.name] = (apath, toks[fn.idx][1],
+                                _writer_sequence(body, writers))
+    return out
+
+
+def serializer_registry(serializers):
+    """Qualified function name -> serializer-call sequence."""
+    return {name: [entry for entry, _line in seq]
+            for name, (_p, _l, seq) in serializers.items()}
+
+
+def update_chunk_registry(files, cache, registry_path, root):
     tags = collect_fourccs(files, cache)
     data = {
-        "checkpoint_version": current_checkpoint_version(root,
+        "checkpoint_version": current_checkpoint_version(files, root,
                                                          cache),
         "fourccs": {tag: os.path.relpath(sites[0][0], root)
                     for tag, sites in sorted(tags.items())},
-        "serializers": serializer_registry(classes),
+        "serializers": serializer_registry(
+            collect_serializers(files, cache)),
     }
     with open(registry_path, "w") as f:
         json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def check_chunks(files, cache, classes, registry_path, root,
-                 check_registry, findings):
+def check_chunks(files, cache, registry_path, root, check_registry,
+                 findings):
     tags = collect_fourccs(files, cache)
     for tag in sorted(tags):
         sites = tags[tag]
@@ -1647,7 +1812,7 @@ def check_chunks(files, cache, classes, registry_path, root,
         return
     with open(registry_path) as f:
         reg = json.load(f)
-    version = current_checkpoint_version(root, cache)
+    version = current_checkpoint_version(files, root, cache)
     reg_version = reg.get("checkpoint_version")
     reg_sers = reg.get("serializers", {})
     reg_tags = reg.get("fourccs", {})
@@ -1659,22 +1824,22 @@ def check_chunks(files, cache, classes, registry_path, root,
                  "chunk FourCC '%s' is not in the chunk registry — "
                  "review the format change, then run "
                  "--update-chunk-registry" % tag))
-    current = serializer_registry(classes)
+    sites = collect_serializers(files, cache)
+    current = serializer_registry(sites)
     for name in sorted(current):
+        path, line, _entries = sites[name]
         seq = current[name]
-        cls = classes[name]
         if name not in reg_sers:
             findings.append(
-                (cls.save.path, cls.save.line, "chunks",
-                 "serializer sequence of class %s is not in the "
-                 "chunk registry — run --update-chunk-registry"
-                 % name))
+                (path, line, "chunks",
+                 "serializer %s is not in the chunk registry — run "
+                 "--update-chunk-registry" % name))
         elif reg_sers[name] != seq:
             if (version is not None and reg_version is not None and
                     version == reg_version):
                 findings.append(
-                    (cls.save.path, cls.save.line, "chunks",
-                     "class %s changed its serializer call sequence "
+                    (path, line, "chunks",
+                     "serializer %s changed its call sequence "
                      "[%s] -> [%s] but kCheckpointVersion is still "
                      "%d — an old checkpoint would be misread with "
                      "no way to tell; bump the version in "
@@ -1683,13 +1848,13 @@ def check_chunks(files, cache, classes, registry_path, root,
                         ",".join(seq) or "<empty>", version)))
             else:
                 findings.append(
-                    (cls.save.path, cls.save.line, "chunks",
-                     "class %s changed its serializer call sequence "
-                     "and kCheckpointVersion was bumped — run "
-                     "--update-chunk-registry to re-baseline"
-                     % name))
-    # Stale registry entries (deleted classes/tags) are not findings:
-    # they cannot corrupt anything, and the next --update cleans them.
+                    (path, line, "chunks",
+                     "serializer %s changed its call sequence and "
+                     "kCheckpointVersion was bumped — run "
+                     "--update-chunk-registry to re-baseline" % name))
+    # Stale registry entries (deleted functions/tags) are not
+    # findings: they cannot corrupt anything, and the next --update
+    # cleans them.
 
 
 # --------------------------------------------------------------------------
@@ -1726,6 +1891,15 @@ class FileCache:
         self._keyed = {}
         self._tokens = {}
         self._tsa = {}
+
+    def override(self, path, text):
+        """Replace one file's contents (mutation tests lint a mutant
+        without re-reading and re-tokenizing the rest of the tree)."""
+        path = os.path.abspath(path)
+        for cache in (self._scrubbed, self._keyed, self._tokens,
+                      self._tsa):
+            cache.pop(path, None)
+        self._raw[path] = text
 
     def get_raw(self, path):
         path = os.path.abspath(path)
@@ -1856,8 +2030,14 @@ def main(argv):
     cache = FileCache()
     findings = []
 
+    if opts.update_chunk_registry:
+        update_chunk_registry(files, cache, registry_path, root)
+        print("tempest_lint: wrote %s"
+              % os.path.relpath(registry_path, root))
+        return 0
+
     classes = None
-    if run_ckpt or run_chunks or opts.update_chunk_registry:
+    if run_ckpt:
         if opts.backend in ("auto", "libclang"):
             try:
                 classes = build_ir_libclang(files, root,
@@ -1877,17 +2057,9 @@ def main(argv):
         if classes is None:
             classes = build_ir_text(files, cache)
 
-    if opts.update_chunk_registry:
-        update_chunk_registry(files, cache, classes, registry_path,
-                              root)
-        print("tempest_lint: wrote %s"
-              % os.path.relpath(registry_path, root))
-        return 0
-
-    if run_ckpt:
         check_checkpoint(classes, findings)
     if run_chunks:
-        check_chunks(files, cache, classes, registry_path, root,
+        check_chunks(files, cache, registry_path, root,
                      check_registry, findings)
 
     lock_model = None

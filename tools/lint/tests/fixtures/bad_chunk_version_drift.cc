@@ -1,13 +1,15 @@
 // Fixture: a class whose serializer call sequence no longer
 // matches the committed registry baseline while the checkpoint
 // version stayed put (the paired registry JSON records the old
-// [u32] sequence at the current version). An old-format file
-// would be misread with no way to tell; must be flagged with the
-// bump-the-version remedy.
+// [u32] sequence at this fixture's own version 7). An old-format
+// file would be misread with no way to tell; must be flagged with
+// the bump-the-version remedy.
 #include "stubs.hh"
 
 namespace tempest
 {
+
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 class DriftClass
 {

@@ -1,12 +1,26 @@
-// Fixture: a checkpoint class whose FourCC and serializer sequence
-// match the committed registry baseline exactly. Must lint clean
+// Fixture: a checkpoint class and a free serializer whose FourCC
+// and serializer sequences match the committed registry baseline
+// exactly, at this fixture's own version 7. Must lint clean
 // against chunk_registry_good.json.
 #include "stubs.hh"
 
 namespace tempest
 {
 
+inline constexpr std::uint32_t kCheckpointVersion = 7;
+
 std::uint32_t chunkId(const char* tag);
+
+struct Tally
+{
+    std::uint64_t hits = 0;
+};
+
+void
+saveTally(StateWriter& w, const Tally& t)
+{
+    w.u64(t.hits);
+}
 
 class SteadyClass
 {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation tests for the tempest_lint lock and protocol passes.
+"""Mutation tests for the tempest_lint lock, protocol and chunk passes.
 
 A checker that never fires is indistinguishable from one that
 works; this harness proves the new passes fire by breaking the real
@@ -15,11 +15,20 @@ tree in controlled ways and demanding a diagnostic for each break:
             separately delete single serializer calls from the blob
             codec writer — each mutation must produce a [protocol]
             finding.
+  chunks    in every checkpoint serializer (each function that
+            writes through a StateWriter&: saveState methods,
+            saveActivity, the saveCheckpoint chunk writes), delete
+            one line holding a serializer call, a chunk() or a call
+            the writer is handed to, and lint the tree in-process
+            against the committed chunk registry — each deletion
+            must produce a [chunks] finding, since the format
+            changed without a kCheckpointVersion bump.
 
 Gates: >= 95% of lock mutations caught (the one tolerated survivor
 is the stopMutex_ acquisition in ServeDaemon::waitStopped, which
 guards a condition-variable handshake and no data — there is
-nothing for the checker to see), 100% of protocol mutations caught.
+nothing for the checker to see), 100% of protocol and chunk
+mutations caught.
 
 src/sim/runner.cc is not a lock target: its two progress mutexes
 are function-locals serializing stdout writes, with no guarded
@@ -163,6 +172,33 @@ def mutate_protocol(tmp):
     return caught, total, survivors
 
 
+def mutate_chunks():
+    files = TL.collect_files(ROOT, [])
+    registry = os.path.join(LINT_DIR, "chunk_registry.json")
+    cache = TL.FileCache()
+    caught, survivors, total = 0, [], 0
+    serializers = TL.collect_serializers(files, cache)
+    for name in sorted(serializers):
+        path, _line, entries = serializers[name]
+        original = cache.get_raw(path)
+        lines = original.split("\n")
+        for site in sorted({ln for _entry, ln in entries}):
+            total += 1
+            cache.override(path, "\n".join(
+                l for i, l in enumerate(lines, start=1) if i != site))
+            findings = []
+            TL.check_chunks(files, cache, registry, ROOT, True,
+                            findings)
+            if any(f[2] == "chunks" for f in findings):
+                caught += 1
+            else:
+                survivors.append("%s: %s line %d: %s"
+                                 % (os.path.relpath(path, ROOT), name,
+                                    site, lines[site - 1].strip()))
+        cache.override(path, original)
+    return caught, total, survivors
+
+
 def main():
     tmp = tempfile.mkdtemp(prefix="tempest_lint_mut_")
     try:
@@ -170,6 +206,7 @@ def main():
         proto_caught, proto_total, proto_miss = mutate_protocol(tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    chunk_caught, chunk_total, chunk_miss = mutate_chunks()
 
     lock_ratio = lock_caught / lock_total if lock_total else 0.0
     proto_ratio = proto_caught / proto_total if proto_total else 0.0
@@ -182,6 +219,11 @@ def main():
     for s in proto_miss:
         print("  survivor: " + s)
 
+    print("mutation_harness: chunks %d/%d caught"
+          % (chunk_caught, chunk_total))
+    for s in chunk_miss:
+        print("  survivor: " + s)
+
     ok = True
     if lock_total == 0 or lock_ratio < LOCK_GATE:
         print("FAIL: lock mutation catch rate below %.0f%%"
@@ -189,6 +231,9 @@ def main():
         ok = False
     if proto_total == 0 or proto_caught != proto_total:
         print("FAIL: protocol mutations must all be caught")
+        ok = False
+    if chunk_total == 0 or chunk_caught != chunk_total:
+        print("FAIL: chunk mutations must all be caught")
         ok = False
     return 0 if ok else 1
 

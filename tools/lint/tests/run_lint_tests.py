@@ -51,11 +51,19 @@ CASES = {
     "bad_chunk_duplicate.cc": (1, [
         "chunk FourCC 'DUPE' already used at",
     ]),
+    # The chunk fixtures define their own kCheckpointVersion (7), so
+    # a format bump in the tree never touches them.
     "bad_chunk_version_drift.cc": (1, [
-        "class DriftClass changed its serializer call sequence",
-        "kCheckpointVersion is still 2",
+        "serializer DriftClass::saveState changed its call sequence",
+        "kCheckpointVersion is still 7",
     ], ["--chunk-registry",
         os.path.join(FIXTURES, "chunk_registry_drift.json")]),
+    "bad_free_serializer_drift.cc": (1, [
+        "serializer saveTally changed its call sequence [u64] -> "
+        "[u64,u64] but kCheckpointVersion is still 7",
+        "serializer Owner::saveCheckpoint changed its call sequence",
+    ], ["--chunk-registry",
+        os.path.join(FIXTURES, "chunk_registry_free.json")]),
     "good_chunk_registered.cc": (0, [],
                                  ["--chunk-registry",
                                   os.path.join(

@@ -1,29 +1,29 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate against the recorded bench history.
+"""Paired perf-smoke gate: head vs. base build on the same host.
 
-Runs bench_wallclock in smoke mode and compares throughput against
-the recorded trajectory in BENCH_wallclock.json.
+Runs the ``bench_wallclock`` smoke binaries of two builds -- the
+base (the merge base, built in the same CI job) and the head (the
+change) -- ``--pairs`` times each, alternating base and head (and
+swapping which goes first in every other pair, so neither build
+always runs on a warmer machine). Each run's serial throughput is
+the best of its 1-thread rows. The hard gate is
 
-Serial (1-thread) rows are a hard gate: if the smoke run's best
-serial throughput falls below ``--serial-floor`` (default 0.85) of
-the best serial throughput ever recorded, the check exits nonzero.
-Serial throughput is the one number that is comparable across the
-machines this project records on, and every optimization PR raises
-it; a >15% drop is a real regression, not noise.
+    median(head serial) / median(base serial) >= --serial-floor
 
-Multi-thread rows stay advisory. They depend on the machine's core
-count (see hardware_concurrency in the history entries); comparing
-them across machines conflates oversubscription with regression, so
-a drop only prints a warning.
+(default 0.85): a like-for-like comparison of two builds measured
+side by side, interleaved, on one host.
 
-Fabric (worker-process) rows from the bench's ``fabric`` section
-are advisory for the same reason: process-pool throughput folds in
-fork/IPC cost and the core count, so a drop warns but never fails.
+Everything else is advisory and only prints warnings: the head's
+serial, multi-thread and fabric (worker-process) rows against the
+best entries ever recorded in BENCH_wallclock.json. Those entries
+come from other machines and other days, so a best-ever comparison
+measures the host as much as the code; it never fails the check.
+The advisory check reuses the head's first paired run.
 
 Usage:
-    python3 tools/perf_smoke.py [--build-dir build]
-        [--history BENCH_wallclock.json] [--threshold 0.10]
-        [--serial-floor 0.85]
+    python3 tools/perf_smoke.py --build-dir build
+        --base-build-dir build-base [--serial-floor 0.85] [--history BENCH_wallclock.json]
+        [--threshold 0.10]
 
 Stdlib only; no third-party dependencies.
 """
@@ -34,6 +34,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from statistics import median
 
 
 def repo_root():
@@ -66,10 +67,10 @@ def threaded_best(runs):
 def best_recorded_serial(history):
     """Best serial throughput across the whole history.
 
-    The gate compares against the best entry ever recorded, not the
-    most recent one: a regression that slipped into one recording
-    must not lower the bar for the next. Returns (baseline, entry)
-    or (None, None).
+    The advisory check compares against the best entry ever
+    recorded, not the most recent one: a regression that slipped
+    into one recording must not lower the bar for the next. Returns
+    (baseline, entry) or (None, None).
     """
     best, best_entry = None, None
     for entry in history:
@@ -123,124 +124,137 @@ def best_recorded_fabric(history):
     return best
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--history", default=None,
-                        help="recorded trajectory (default: "
-                             "BENCH_wallclock.json at repo root)")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="fractional drop that triggers the "
-                             "advisory warning (default: 0.10)")
-    parser.add_argument("--serial-floor", type=float, default=0.85,
-                        help="hard-fail when serial throughput is "
-                             "below this fraction of the best "
-                             "recorded serial entry (default: 0.85)")
-    args = parser.parse_args()
+def smoke_run(binary):
+    """One smoke run of a bench_wallclock binary; returns its JSON.
 
-    root = repo_root()
-    history_path = args.history or os.path.join(
-        root, "BENCH_wallclock.json")
-    if not os.path.exists(history_path):
-        print(f"perf-smoke: no history at {history_path}; "
-              "nothing to compare against")
-        return 0
+    Runs in a scratch directory with TEMPEST_BENCH_JSON set, so no
+    build (old or new) can write into the checkout.
+    """
+    env = dict(os.environ)
+    env["TEMPEST_SMOKE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="perf_smoke_") as tmp:
+        out = os.path.join(tmp, "bench.json")
+        env["TEMPEST_BENCH_JSON"] = out
+        subprocess.run([binary], env=env, cwd=tmp, check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(out) as f:
+            return json.load(f)
+
+
+PAIRS = 5
+
+
+def paired_runs(base_binary, head_binary):
+    """PAIRS alternated smoke runs of each build: the JSON payloads
+    as (base list, head list)."""
+    base, head = [], []
+    for i in range(PAIRS):
+        order = [(base_binary, base), (head_binary, head)]
+        if i % 2:
+            order.reverse()
+        for binary, sink in order:
+            sink.append(smoke_run(binary))
+    return base, head
+
+
+def serial_of(binary, payloads):
+    """Serial throughput of each run; every run must have one."""
+    vals = [serial_best(p.get("runs", [])) for p in payloads]
+    if None in vals:
+        raise RuntimeError(f"{binary} produced no serial rows")
+    return vals
+
+
+def advise(label, current, recorded, threshold):
+    """Print a best-ever comparison; warn on a drop, never fail."""
+    ratio = current / recorded
+    print(f"perf-smoke: {label} {current / 1e6:.2f} Mcycles/s vs best "
+          f"recorded {recorded / 1e6:.2f} Mcycles/s ({ratio:.2f}x, "
+          "advisory)")
+    if ratio < 1.0 - threshold:
+        print(f"::warning title=perf-smoke::{label} is "
+              f"{(1.0 - ratio) * 100.0:.0f}% below the best recorded "
+              "bench entry; advisory only (recorded entries come from "
+              "other hosts)", file=sys.stderr)
+
+
+def advise_history(history_path, payload, threshold):
+    """Best-ever comparisons of one head run against the history."""
     try:
         with open(history_path) as f:
             history = json.load(f).get("history", [])
     except (OSError, json.JSONDecodeError, AttributeError) as e:
-        print(f"perf-smoke: cannot read {history_path} ({e}); "
-              "nothing to compare against")
-        return 0
-    if not isinstance(history, list) or len(history) < 2:
-        # A single entry is typically this commit's own recording;
-        # comparing a run against itself says nothing.
-        print(f"perf-smoke: {len(history) if isinstance(history, list) else 0} "
-              "history entries (need >= 2); nothing to compare")
-        return 0
-    baseline, baseline_entry = best_recorded_serial(history)
-    if baseline is None:
-        print("perf-smoke: no history entry has serial runs")
-        return 0
-
-    binary = os.path.join(root, args.build_dir, "bench",
-                          "bench_wallclock")
-    if not os.path.exists(binary):
-        print(f"perf-smoke: {binary} not found; skipping")
-        return 0
-
-    env = dict(os.environ)
-    env["TEMPEST_SMOKE"] = "1"
-    with tempfile.NamedTemporaryFile(
-            mode="r", suffix=".json", delete=False) as tmp:
-        env["TEMPEST_BENCH_JSON"] = tmp.name
-        try:
-            subprocess.run([binary], env=env, check=True)
-            tmp.seek(0)
-            payload = json.load(tmp)
-        finally:
-            os.unlink(tmp.name)
-
+        print(f"perf-smoke: no usable history at {history_path} ({e})")
+        return
+    if not isinstance(history, list):
+        return
     runs = payload.get("runs", [])
+    baseline, _entry = best_recorded_serial(history)
     current = serial_best(runs)
-    if current is None:
-        print("perf-smoke: smoke run produced no serial rows")
-        return 0
-
-    # ---- threaded rows: advisory only ----
-    recorded_threaded = best_recorded_threaded(history)
+    if baseline and current:
+        advise("serial throughput", current, baseline, threshold)
+    recorded = best_recorded_threaded(history)
     for t, v in sorted(threaded_best(runs).items()):
-        rec = recorded_threaded.get(t)
-        if not rec:
-            continue
-        ratio = v / rec
-        print(f"perf-smoke: {t}-thread throughput "
-              f"{v / 1e6:.2f} Mcycles/s vs recorded "
-              f"{rec / 1e6:.2f} Mcycles/s ({ratio:.2f}x)")
-        if ratio < 1.0 - args.threshold:
-            drop = (1.0 - ratio) * 100.0
-            print(f"::warning title=perf-smoke::{t}-thread "
-                  f"throughput is {drop:.0f}% below the best "
-                  "recorded bench entry; advisory only (thread "
-                  "rows are machine-dependent)", file=sys.stderr)
-
-    # ---- fabric (worker-process) rows: advisory only ----
-    recorded_fabric = best_recorded_fabric(history)
+        if recorded.get(t):
+            advise(f"{t}-thread throughput", v, recorded[t], threshold)
+    recorded = best_recorded_fabric(history)
     for w, v in sorted(fabric_pools(payload.get("fabric")).items()):
-        rec = recorded_fabric.get(w)
-        if not rec:
-            continue
-        ratio = v / rec
-        print(f"perf-smoke: fabric {w}-worker throughput "
-              f"{v / 1e6:.2f} Mcycles/s vs recorded "
-              f"{rec / 1e6:.2f} Mcycles/s ({ratio:.2f}x)")
-        if ratio < 1.0 - args.threshold:
-            drop = (1.0 - ratio) * 100.0
-            print(f"::warning title=perf-smoke::fabric {w}-worker "
-                  f"throughput is {drop:.0f}% below the best "
-                  "recorded bench entry; advisory only (process-"
-                  "pool rows are machine-dependent)",
-                  file=sys.stderr)
+        if recorded.get(w):
+            advise(f"fabric {w}-worker throughput", v, recorded[w],
+                   threshold)
 
-    # ---- serial rows: hard gate ----
-    ratio = current / baseline
-    print(f"perf-smoke: serial throughput {current / 1e6:.2f} "
-          f"Mcycles/s vs best recorded {baseline / 1e6:.2f} "
-          f"Mcycles/s ({ratio:.2f}x)")
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--build-dir", default="build",
+                        help="head build (default: build)")
+    parser.add_argument("--base-build-dir", required=True,
+                        help="base build to pair against")
+    parser.add_argument("--serial-floor", type=float, default=0.85,
+                        help="fail when median head serial throughput "
+                             "is below this fraction of the base's "
+                             "(default: 0.85)")
+    parser.add_argument("--history", default=None,
+                        help="recorded trajectory for the advisory "
+                             "check (default: BENCH_wallclock.json at "
+                             "the repo root)")
+    parser.add_argument("--threshold", type=float, default=0.10,
+                        help="fractional drop below the best recorded "
+                             "entry that prints a warning "
+                             "(default: 0.10)")
+    args = parser.parse_args()
+
+    root = repo_root()
+
+    def binary_in(build_dir):
+        return os.path.join(root, build_dir, "bench", "bench_wallclock")
+
+    head = binary_in(args.build_dir)
+    base = binary_in(args.base_build_dir)
+    for binary in (head, base):
+        if not os.path.exists(binary):
+            print(f"perf-smoke: {binary} not found")
+            return 1
+    base_payloads, head_payloads = paired_runs(base, head)
+    history = args.history or os.path.join(root, "BENCH_wallclock.json")
+    advise_history(history, head_payloads[0], args.threshold)
+
+    base_runs = serial_of(base, base_payloads)
+    head_runs = serial_of(head, head_payloads)
+    ratio = median(head_runs) / median(base_runs)
+    fmt = " ".join
+    print("perf-smoke: base serial Mcycles/s: " +
+          fmt(f"{v / 1e6:.2f}" for v in base_runs))
+    print("perf-smoke: head serial Mcycles/s: " +
+          fmt(f"{v / 1e6:.2f}" for v in head_runs))
+    print(f"perf-smoke: paired serial ratio median(head)/median(base) "
+          f"= {ratio:.3f} (floor {args.serial_floor:.2f})")
     if ratio < args.serial_floor:
-        drop = (1.0 - ratio) * 100.0
-        print("::error title=perf-smoke::serial wall-clock "
-              f"throughput is {drop:.0f}% below the best recorded "
-              f"bench entry ({baseline_entry.get('git_rev', '?')}, "
-              f"floor {args.serial_floor:.2f}x); failing the check",
-              file=sys.stderr)
+        print("::error title=perf-smoke::serial throughput is "
+              f"{(1.0 - ratio) * 100.0:.0f}% below the base build "
+              f"measured alongside it (floor {args.serial_floor:.2f}x); "
+              "failing the check", file=sys.stderr)
         return 1
-    if ratio < 1.0 - args.threshold:
-        drop = (1.0 - ratio) * 100.0
-        print("::warning title=perf-smoke::serial throughput is "
-              f"{drop:.0f}% below the best recorded bench entry "
-              f"({baseline_entry.get('git_rev', '?')}); above the "
-              "hard floor but worth a look", file=sys.stderr)
     return 0
 
 
