@@ -1,12 +1,7 @@
 /**
  * @file
- * Lightweight statistics package: named counters, running means,
- * distributions, and a registry that can render all registered
- * statistics as text.
- *
- * Modelled loosely on gem5's stats package, but header-light: a stat
- * is a plain value object that optionally registers itself with a
- * StatGroup for reporting.
+ * Running statistics: RunningStat, the mean/min/max accumulator
+ * behind every per-block temperature summary.
  */
 
 #ifndef TEMPEST_COMMON_STATS_HH
@@ -14,28 +9,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace tempest
 {
-
-/** Monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter& operator++() { ++value_; return *this; }
-    Counter& operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Running mean/min/max over a stream of samples. */
 class RunningStat
@@ -90,79 +66,6 @@ class RunningStat
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower bound of the first bin
-     * @param hi upper bound of the last bin
-     * @param bins number of interior bins (must be >= 1)
-     */
-    Histogram(double lo, double hi, int bins);
-
-    /** Add one sample. */
-    void sample(double x);
-
-    int bins() const { return static_cast<int>(counts_.size()); }
-    std::uint64_t binCount(int i) const { return counts_.at(i); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /** Midpoint of bin i. */
-    double binCenter(int i) const;
-
-    /** Sample mean (interior samples binned at centers). */
-    double approxMean() const;
-
-    void reset();
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-};
-
-/**
- * Name -> value registry used to dump end-of-run statistics.
- *
- * Components register scalar snapshots (captured at dump time through
- * a callback-free interface: the owner pushes values explicitly).
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Record (or overwrite) a named scalar. */
-    void set(const std::string& stat, double value);
-
-    /** @return value of a previously set stat; fatal if missing. */
-    double get(const std::string& stat) const;
-
-    /** @return true if the stat has been set. */
-    bool has(const std::string& stat) const;
-
-    /** Render "group.stat value" lines, sorted by name. */
-    std::string render() const;
-
-    const std::string& name() const { return name_; }
-
-    const std::map<std::string, double>& values() const
-    {
-        return values_;
-    }
-
-  private:
-    std::string name_;
-    std::map<std::string, double> values_;
 };
 
 } // namespace tempest

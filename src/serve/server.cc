@@ -13,7 +13,6 @@
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
-#include "workload/profile.hh"
 
 namespace tempest
 {
@@ -618,7 +617,7 @@ ServeDaemon::computeJob(const Job& job)
             simConfigFromConfig(req.config);
         const bool warm =
             req.warm && options_.warmupCycles > 0;
-        SimResult result;
+        std::shared_ptr<const std::string> snap;
         if (warm) {
             const Config warm_cfg =
                 neutralWarmConfig(req.config);
@@ -627,20 +626,16 @@ ServeDaemon::computeJob(const Job& job)
                 "\n" +
                 std::to_string(options_.warmupCycles) + "\n" +
                 warm_cfg.render();
-            const std::shared_ptr<const std::string> snap =
-                warmPool_.get(warm_key, [&] {
-                    return experiments::warmSnapshot(
-                        simConfigFromConfig(warm_cfg),
-                        req.benchmark, req.seed,
-                        options_.warmupCycles);
-                });
-            result = experiments::runFromSnapshot(
-                config, req.benchmark, req.seed, *snap,
-                req.cycles);
-        } else {
-            Simulator sim(config, spec2000(req.benchmark));
-            result = sim.run(req.cycles);
+            snap = warmPool_.get(warm_key, [&] {
+                return experiments::warmSnapshot(
+                    simConfigFromConfig(warm_cfg), req.benchmark,
+                    req.seed, options_.warmupCycles);
+            });
         }
+        const std::string cold; // empty snapshot: a cold run
+        const SimResult result = experiments::runFromSnapshot(
+            config, req.benchmark, req.seed, snap ? *snap : cold,
+            req.cycles);
         hash = experiments::hashSimResult(result);
         payload["benchmark"] = Json(result.benchmark);
         payload["seed"] = Json(hexU64(req.seed));

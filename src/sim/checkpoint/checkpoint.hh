@@ -6,18 +6,20 @@
  * per-component chunks:
  *
  *     offset 0   magic  "TMPSTCKP"                 (8 bytes)
- *     offset 8   u32    format version (currently 3)
+ *     offset 8   u32    format version (currently 4)
  *     offset 12  u32    chunk count
  *     then, per chunk:
- *                u32    chunk id (FourCC, e.g. 'CORE')
+ *                u32    chunk id (FourCC, e.g. 'CMPM')
  *                u32    flags (reserved, 0)
  *                u64    payload length in bytes
  *                       payload
  *                u64    checksum64 of the payload
  *
  * All fields are little-endian. Version 3 changed only the chunk
- * checksum (byte-serial FNV-1a to the word-parallel checksum64);
- * every payload is byte-for-byte what version 2 wrote.
+ * checksum (byte-serial FNV-1a to the word-parallel checksum64).
+ * Version 4 writes a single-core run in the multicore layout
+ * (CMPM, JB00, CTHM, CSNS, CMPD) instead of one chunk per
+ * component; each component's bytes are what version 3 wrote.
  *
  * Every chunk is independently checksummed, so corruption is
  * pinpointed to a component instead of surfacing as undefined
@@ -50,7 +52,7 @@ namespace tempest
 {
 
 /** Current checkpoint format version. */
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** FourCC chunk id from a 4-character tag. */
 constexpr std::uint32_t

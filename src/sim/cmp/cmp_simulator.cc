@@ -1,12 +1,11 @@
 #include "sim/cmp/cmp_simulator.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/log.hh"
+#include "common/profiler.hh"
 #include "sim/checkpoint/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
@@ -17,12 +16,9 @@ namespace tempest
 namespace
 {
 
-// Checkpoint chunk ids. Per-job chunks vary the last FourCC
-// character ("JB00".."JB07"), which chunkId packs into the high
-// byte. The CMP thermal/sensor chunks get their own tags (CTHM/
-// CSNS) rather than reusing the single-core engine's THRM/SENS:
-// the chunk-registry lint pass requires FourCCs to be globally
-// unique so a reader can never confuse the two formats.
+// Checkpoint chunk ids (see DESIGN.md §11). Per-job chunks vary
+// the last FourCC character ("JB00".."JB07"), which chunkId packs
+// into the high byte.
 constexpr std::uint32_t kChunkCmpMeta = chunkId("CMPM");
 constexpr std::uint32_t kChunkCmpDtm = chunkId("CMPD");
 constexpr std::uint32_t kChunkThermal = chunkId("CTHM");
@@ -47,6 +43,18 @@ hashF64(std::uint64_t h, double v)
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
     return hashU64(h, bits);
+}
+
+/** SPEC2000 profiles for config.benchmarks; empty means "eon". */
+std::vector<BenchmarkProfile>
+spec2000Profiles(const CmpSimConfig& config)
+{
+    std::vector<BenchmarkProfile> profiles;
+    for (const std::string& name : config.benchmarks)
+        profiles.push_back(spec2000(name));
+    if (profiles.empty())
+        profiles.push_back(spec2000("eon"));
+    return profiles;
 }
 
 } // namespace
@@ -76,19 +84,32 @@ CmpSimConfig::validate() const
 }
 
 CmpSimulator::CmpSimulator(const CmpSimConfig& config)
+    : CmpSimulator(config, spec2000Profiles(config))
+{}
+
+CmpSimulator::CmpSimulator(
+    const CmpSimConfig& config,
+    const std::vector<BenchmarkProfile>& profiles)
     : config_(config),
       corePlan_(Floorplan::ev6Like(config.base.variant)),
-      plan_(Floorplan::cmpTiled(config.base.variant, config.cores,
-                                config.sharedL2, config.stack.dram))
+      // One core without a DRAM layer is the single-core plan
+      // itself; copy it rather than build it a second time.
+      plan_(config.cores == 1 && !config.stack.dram
+                ? corePlan_
+                : Floorplan::cmpTiled(config.base.variant,
+                                      config.cores, config.sharedL2,
+                                      config.stack.dram))
 {
+    // The benchmark list names the profiles: one entry is
+    // replicated across cores.
+    if (profiles.empty())
+        fatal("CmpSimulator needs at least one benchmark profile");
+    config_.benchmarks.clear();
+    for (const BenchmarkProfile& p : profiles)
+        config_.benchmarks.push_back(p.name);
     config_.validate();
     config_.base.pipeline.validate();
     config_.base.thermal.validate();
-
-    // Normalize the benchmark list: empty -> "eon" everywhere, one
-    // entry -> replicated across cores.
-    if (config_.benchmarks.empty())
-        config_.benchmarks = {"eon"};
     if (config_.benchmarks.size() == 1 && config_.cores > 1) {
         config_.benchmarks.assign(
             static_cast<std::size_t>(config_.cores),
@@ -108,8 +129,11 @@ CmpSimulator::CmpSimulator(const CmpSimConfig& config)
 
     for (int j = 0; j < config_.cores; ++j) {
         auto e = std::make_unique<Engine>();
-        e->benchmark =
-            config_.benchmarks[static_cast<std::size_t>(j)];
+        const BenchmarkProfile& profile =
+            profiles[profiles.size() == 1
+                         ? 0
+                         : static_cast<std::size_t>(j)];
+        e->benchmark = profile.name;
         // Core 0 runs on the configured seed verbatim (the N=1
         // bit-identity anchor); the rest get stable per-core
         // derivations so sibling cores never share RNG streams.
@@ -120,8 +144,7 @@ CmpSimulator::CmpSimulator(const CmpSimConfig& config)
                                       "cmp.core" +
                                           std::to_string(j));
         e->core = std::make_unique<OooCore>(
-            config_.base.pipeline, spec2000(e->benchmark), e->seed,
-            &e->arena);
+            config_.base.pipeline, profile, e->seed, &e->arena);
         e->dtm = std::make_unique<ResourceBalancingDtm>(
             config_.base.dtm, *e->core, corePlan_);
         e->accum.resize(static_cast<std::size_t>(coreBlocks_));
@@ -146,8 +169,7 @@ CmpSimulator::CmpSimulator(const CmpSimConfig& config)
         jobOfTile_[static_cast<std::size_t>(j)] = j;
     }
 
-    // Same expression (and grouping) as the single-core stall
-    // sizing, so N=1 chunk sequences match bit-exactly.
+    // The cooling time scales with the thermal time compression.
     const Seconds cooling = config_.base.dtm.coolingTime *
                             config_.base.thermal.timeScale;
     coolingCycles_ = static_cast<std::uint64_t>(
@@ -158,6 +180,8 @@ CmpSimulator::CmpSimulator(const CmpSimConfig& config)
     intervalScratch_.resize(engines_.size());
     stalledScratch_.resize(engines_.size());
     powerScratch_.assign(
+        static_cast<std::size_t>(plan_.numBlocks()), 0.0);
+    dieTempScratch_.assign(
         static_cast<std::size_t>(plan_.numBlocks()), 0.0);
     tileTempScratch_.assign(
         static_cast<std::size_t>(config_.cores),
@@ -205,55 +229,58 @@ CmpSimulator::step(std::uint64_t cycles)
 
     // 2. Per-tile powers through the one shared power model, then
     // the synthesized shared blocks.
-    for (int j = 0; j < jobs; ++j) {
-        power_->blockPowers(
-            intervalScratch_[static_cast<std::size_t>(j)],
-            corePowerScratch_);
-        const int base =
-            tileOfJob_[static_cast<std::size_t>(j)] * B;
-        for (int b = 0; b < B; ++b) {
-            powerScratch_[static_cast<std::size_t>(base + b)] =
-                corePowerScratch_[static_cast<std::size_t>(b)];
-        }
-    }
-    if (l2Index_ >= 0) {
-        // The core power model deliberately leaves L2 dynamic
-        // energy unattributed; in the CMP plan it lands on the
-        // shared strip, fed by every core's interval traffic.
-        std::uint64_t l2_accesses = 0;
+    {
+        TEMPEST_PROF_SCOPE(ProfStage::Power);
         for (int j = 0; j < jobs; ++j) {
-            l2_accesses +=
-                intervalScratch_[static_cast<std::size_t>(j)]
-                    .l2Accesses;
+            power_->blockPowers(
+                intervalScratch_[static_cast<std::size_t>(j)],
+                corePowerScratch_);
+            const int base =
+                tileOfJob_[static_cast<std::size_t>(j)] * B;
+            for (int b = 0; b < B; ++b) {
+                powerScratch_[static_cast<std::size_t>(base + b)] =
+                    corePowerScratch_[static_cast<std::size_t>(b)];
+            }
         }
-        powerScratch_[static_cast<std::size_t>(l2Index_)] =
-            static_cast<double>(l2_accesses) *
-                config_.base.energy.l2Access / dt +
-            l2Area_ * config_.base.energy.idleWattsPerSquareMeter;
-    }
-    if (dramBase_ >= 0) {
-        // A DRAM bank sits over each tile and is heated by the L2
-        // miss traffic of whichever job currently runs there.
-        for (int t = 0; t < jobs; ++t) {
-            Engine& e = *engines_[static_cast<std::size_t>(
-                jobOfTile_[static_cast<std::size_t>(t)])];
-            const std::uint64_t misses =
-                e.core->caches().l2().misses();
-            const std::uint64_t delta = misses - e.prevL2Misses;
-            e.prevL2Misses = misses;
-            powerScratch_[static_cast<std::size_t>(dramBase_ + t)] =
-                static_cast<double>(delta) *
-                    config_.stack.dramEnergyPerAccess / dt +
-                config_.stack.dramStaticW;
+        if (l2Index_ >= 0) {
+            // The core power model deliberately leaves L2 dynamic
+            // energy unattributed; in the CMP plan it lands on the
+            // shared strip, fed by every core's interval traffic.
+            std::uint64_t l2_accesses = 0;
+            for (int j = 0; j < jobs; ++j) {
+                l2_accesses +=
+                    intervalScratch_[static_cast<std::size_t>(j)]
+                        .l2Accesses;
+            }
+            powerScratch_[static_cast<std::size_t>(l2Index_)] =
+                static_cast<double>(l2_accesses) *
+                    config_.base.energy.l2Access / dt +
+                l2Area_ * config_.base.energy.idleWattsPerSquareMeter;
         }
+        if (dramBase_ >= 0) {
+            // A DRAM bank sits over each tile and is heated by the L2
+            // miss traffic of whichever job currently runs there.
+            for (int t = 0; t < jobs; ++t) {
+                Engine& e = *engines_[static_cast<std::size_t>(
+                    jobOfTile_[static_cast<std::size_t>(t)])];
+                const std::uint64_t misses =
+                    e.core->caches().l2().misses();
+                const std::uint64_t delta = misses - e.prevL2Misses;
+                e.prevL2Misses = misses;
+                powerScratch_[static_cast<std::size_t>(dramBase_ + t)] =
+                    static_cast<double>(delta) *
+                        config_.stack.dramEnergyPerAccess / dt +
+                    config_.stack.dramStaticW;
+            }
+        }
+        rc_->setPowers(powerScratch_);
     }
-    rc_->setPowers(powerScratch_);
 
     if (!warmed_) {
         // Warm start: steady state of the first interval's power,
-        // clamped to the threshold per block (mirrors the
-        // single-core simulator; stacked DRAM banks are clamped
-        // too, since a managed stack never idles above threshold).
+        // clamped to the threshold per block (a managed processor
+        // never sits above it; package nodes keep their steady
+        // values, stacked DRAM banks are clamped too).
         warmed_ = true;
         if (config_.base.warmStart) {
             rc_->solveSteadyState();
@@ -267,7 +294,10 @@ CmpSimulator::step(std::uint64_t cycles)
         }
     }
 
-    rc_->step(dt);
+    {
+        TEMPEST_PROF_SCOPE(ProfStage::Thermal);
+        rc_->step(dt);
+    }
 
     for (int j = 0; j < jobs; ++j) {
         engines_[static_cast<std::size_t>(j)]->total.add(
@@ -281,52 +311,73 @@ CmpSimulator::step(std::uint64_t cycles)
               tileHottestScratch_.end(), 0.0);
     const int num_blocks = plan_.numBlocks();
     const int tiles_end = jobs * B;
-    for (int b = 0; b < num_blocks; ++b) {
-        const Kelvin t = sensors_->read(b);
-        if (b < tiles_end) {
-            const int tile = b / B;
-            const int local = b % B;
-            const int j =
-                jobOfTile_[static_cast<std::size_t>(tile)];
-            tileTempScratch_[static_cast<std::size_t>(tile)]
-                            [static_cast<std::size_t>(local)] = t;
-            Engine::ThermalAccum& acc =
-                engines_[static_cast<std::size_t>(j)]
-                    ->accum[static_cast<std::size_t>(local)];
-            if (!stalledScratch_[static_cast<std::size_t>(j)])
+    {
+        TEMPEST_PROF_SCOPE(ProfStage::Sensor);
+        for (int b = 0; b < num_blocks; ++b) {
+            const Kelvin t = sensors_->read(b);
+            dieTempScratch_[static_cast<std::size_t>(b)] = t;
+            if (b < tiles_end) {
+                const int tile = b / B;
+                const int local = b % B;
+                const int j =
+                    jobOfTile_[static_cast<std::size_t>(tile)];
+                tileTempScratch_[static_cast<std::size_t>(tile)]
+                                [static_cast<std::size_t>(local)] = t;
+                Engine::ThermalAccum& acc =
+                    engines_[static_cast<std::size_t>(j)]
+                        ->accum[static_cast<std::size_t>(local)];
+                if (!stalledScratch_[static_cast<std::size_t>(j)])
+                    acc.avg.sample(t);
+                acc.maxT = std::max(acc.maxT, t);
+                tileHottestScratch_[static_cast<std::size_t>(tile)] =
+                    std::max(tileHottestScratch_
+                                 [static_cast<std::size_t>(tile)],
+                             t);
+            } else {
+                // Shared blocks have no per-job stall notion; their
+                // average covers every interval.
+                Engine::ThermalAccum& acc =
+                    sharedAccum_[static_cast<std::size_t>(
+                        b - tiles_end)];
                 acc.avg.sample(t);
-            acc.maxT = std::max(acc.maxT, t);
-            tileHottestScratch_[static_cast<std::size_t>(tile)] =
-                std::max(tileHottestScratch_
-                             [static_cast<std::size_t>(tile)],
-                         t);
-        } else {
-            // Shared blocks have no per-job stall notion; their
-            // average covers every interval.
-            Engine::ThermalAccum& acc =
-                sharedAccum_[static_cast<std::size_t>(
-                    b - tiles_end)];
-            acc.avg.sample(t);
-            acc.maxT = std::max(acc.maxT, t);
+                acc.maxT = std::max(acc.maxT, t);
+            }
         }
+    }
+
+    if (trace_) {
+        // One whole-die sample; "stalled" when every core is.
+        bool all_stalled = true;
+        std::uint64_t instructions = 0;
+        for (int j = 0; j < jobs; ++j) {
+            const auto i = static_cast<std::size_t>(j);
+            all_stalled = all_stalled && stalledScratch_[i];
+            instructions += intervalScratch_[i].instructions;
+        }
+        trace_->record(clockCycle_ + cycles, all_stalled,
+                       instructions, dieTempScratch_,
+                       powerScratch_);
     }
 
     // 4. Per-core DTM, then the stall bookkeeping. A GlobalStall
     // freezes only the triggering core; the thermal clock keeps
     // every other core running, chunked so stall boundaries land
     // on shared thermal steps.
-    for (int j = 0; j < jobs; ++j) {
-        if (stalledScratch_[static_cast<std::size_t>(j)])
-            continue;
-        Engine& e = *engines_[static_cast<std::size_t>(j)];
-        const int tile = tileOfJob_[static_cast<std::size_t>(j)];
-        const bool global_stall =
-            e.dtm->sample(
-                tileTempScratch_[static_cast<std::size_t>(tile)],
-                tileHottestScratch_[static_cast<std::size_t>(
-                    tile)]) == DtmAction::GlobalStall;
-        if (global_stall)
-            e.stallRemaining = coolingCycles_;
+    {
+        TEMPEST_PROF_SCOPE(ProfStage::Dtm);
+        for (int j = 0; j < jobs; ++j) {
+            if (stalledScratch_[static_cast<std::size_t>(j)])
+                continue;
+            Engine& e = *engines_[static_cast<std::size_t>(j)];
+            const int tile = tileOfJob_[static_cast<std::size_t>(j)];
+            const bool global_stall =
+                e.dtm->sample(
+                    tileTempScratch_[static_cast<std::size_t>(tile)],
+                    tileHottestScratch_[static_cast<std::size_t>(
+                        tile)]) == DtmAction::GlobalStall;
+            if (global_stall)
+                e.stallRemaining = coolingCycles_;
+        }
     }
     for (int j = 0; j < jobs; ++j) {
         if (stalledScratch_[static_cast<std::size_t>(j)]) {
@@ -360,8 +411,7 @@ CmpSimulator::step(std::uint64_t cycles)
 void
 CmpSimulator::runTo(std::uint64_t end_cycle)
 {
-    // Stalls are atomic, exactly like the single-core simulator's
-    // nested cooling loop: once any core owes stall cycles the
+    // Stalls are atomic: once any core owes stall cycles the
     // lockstep loop keeps stepping past end_cycle until the debt
     // drains. The continuation test is pure simulator state (never
     // end_cycle), so piecewise runTo calls — checkpoint loops —
@@ -396,8 +446,9 @@ CmpSimulator::result() const
         const Engine& e = *ep;
         SimResult r;
         r.benchmark = e.core->profile().name;
-        r.cycles = e.core->cycle();
-        r.instructions = e.core->committed();
+        r.cycles = e.core->cycle() - measureStartCycle_;
+        r.instructions =
+            e.core->committed() - e.measureStartCommitted;
         r.ipc = r.cycles
                     ? static_cast<double>(r.instructions) /
                           static_cast<double>(r.cycles)
@@ -424,8 +475,24 @@ CmpSimulator::result() const
     }
     result.migration = cmpDtm_->stats();
     result.tileOfJob = tileOfJob_;
-    result.cycles = clockCycle_;
+    result.cycles = clockCycle_ - measureStartCycle_;
     return result;
+}
+
+void
+CmpSimulator::resetMeasurement()
+{
+    for (const auto& e : engines_) {
+        e->total.clear();
+        for (Engine::ThermalAccum& acc : e->accum)
+            acc = Engine::ThermalAccum{};
+        e->dtm->resetStats();
+        e->measureStartCommitted = e->core->committed();
+    }
+    for (Engine::ThermalAccum& acc : sharedAccum_)
+        acc = Engine::ThermalAccum{};
+    cmpDtm_->resetStats();
+    measureStartCycle_ = clockCycle_;
 }
 
 const CmpDtmStats&
@@ -531,6 +598,7 @@ CmpSimulator::saveCheckpoint() const
         }
         for (const Engine::ThermalAccum& acc : e.accum)
             w.f64(acc.maxT);
+        w.u64(e.measureStartCommitted);
     }
 
     rc_->saveState(cp.chunk(kChunkThermal));
@@ -550,6 +618,7 @@ CmpSimulator::saveCheckpoint() const
     }
     for (const Engine::ThermalAccum& acc : sharedAccum_)
         d.f64(acc.maxT);
+    d.u64(measureStartCycle_);
 
     return cp.serialize();
 }
@@ -606,6 +675,7 @@ CmpSimulator::restoreCheckpoint(const std::string& bytes)
         }
         for (Engine::ThermalAccum& acc : e.accum)
             acc.maxT = r.f64();
+        e.measureStartCommitted = r.u64();
     }
 
     {
@@ -642,11 +712,14 @@ CmpSimulator::restoreCheckpoint(const std::string& bytes)
         }
         for (Engine::ThermalAccum& acc : sharedAccum_)
             acc.maxT = r.f64();
+        measureStartCycle_ = r.u64();
     }
     clockCycle_ = clock;
 
-    // Re-assert config-derived controls, as the single-core
-    // restore does.
+    // Re-assert config-derived controls: a warm-state fork
+    // restores a snapshot taken under the (neutral) warm-up
+    // configuration, and this simulator's own DTM config must win
+    // over whatever the snapshot carried.
     for (const auto& e : engines_) {
         e->core->setRoundRobin(config_.base.dtm.roundRobin);
         e->core->intRegfile().setMapping(config_.base.dtm.mapping);
@@ -682,46 +755,21 @@ std::vector<CmpJobOutcome>
 runCmpJobs(const std::vector<CmpJob>& jobs, int threads)
 {
     std::vector<CmpJobOutcome> outcomes(jobs.size());
-    if (jobs.empty())
-        return outcomes;
-    threads = std::max(
-        1, std::min(threads, static_cast<int>(jobs.size())));
-
-    // Lock-free by construction: the only shared mutable state is
-    // the `next` index counter; each worker owns outcomes[i]
-    // exclusively once it claims i, so no mutex (and no
-    // GUARDED_BY) is needed here.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs.size())
-                return;
-            const CmpJob& job = jobs[i];
-            // det:allow(wallSeconds metric only; never feeds simulation state)
-            const auto start = std::chrono::steady_clock::now();
-            CmpSimulator sim(job.config);
-            CmpJobOutcome& out = outcomes[i];
-            out.tag = job.tag;
-            out.result = sim.run(job.cycles);
-            out.hash = hashCmpResult(out.result);
-            const auto end = std::chrono::steady_clock::now(); // det:allow(wallSeconds metric only; never feeds simulation state)
-            out.wallSeconds =
-                std::chrono::duration<double>(end - start)
-                    .count();
-        }
-    };
-
-    if (threads == 1) {
-        worker();
-        return outcomes;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (std::thread& t : pool)
-        t.join();
+    // Each worker owns outcomes[i] exclusively once it claims i,
+    // so no mutex (and no GUARDED_BY) is needed here.
+    experiments::parallelFor(jobs.size(), threads, [&](std::size_t i) {
+        const CmpJob& job = jobs[i];
+        // det:allow(wallSeconds metric only; never feeds simulation state)
+        const auto start = std::chrono::steady_clock::now();
+        CmpSimulator sim(job.config);
+        CmpJobOutcome& out = outcomes[i];
+        out.tag = job.tag;
+        out.result = sim.run(job.cycles);
+        out.hash = hashCmpResult(out.result);
+        const auto end = std::chrono::steady_clock::now(); // det:allow(wallSeconds metric only; never feeds simulation state)
+        out.wallSeconds =
+            std::chrono::duration<double>(end - start).count();
+    });
     return outcomes;
 }
 

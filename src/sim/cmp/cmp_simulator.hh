@@ -1,24 +1,32 @@
 /**
  * @file
- * Multicore (CMP) closed-loop thermal simulator.
+ * The closed-loop thermal simulator: N cores over one shared
+ * thermal network. A single-core run is the N=1 case (see
+ * sim/simulator.hh), so this file holds the only interval loop.
  *
- * N single-core engines — each the same core + per-core DTM the
- * paper studies — run in lockstep on ONE shared thermal RC network
- * built from a laterally tiled floorplan (Floorplan::cmpTiled):
- * per-core tiles coupled at shared edges, an optional shared-L2
- * strip along the bottom, one spreader and sink for the whole die,
- * and optionally a stacked DRAM die above the cores whose banks
- * heat the blocks beneath them through the bond layer.
+ * The loop mirrors the paper's methodology (§3): execute in
+ * 100,000-cycle sampling intervals, convert the interval's activity
+ * to per-block power, advance the thermal network, read the
+ * sensors, and let each core's DTM act. A GlobalStall freezes the
+ * triggering core for exactly the thermal cooling time (served in
+ * sample-interval chunks with clock-gated power, plus a final
+ * partial chunk for the remainder). Initial temperatures come from
+ * a steady-state solve of the first interval's power, clamped to
+ * the thermal threshold, so runs begin thermally warmed.
+ *
+ * Each core — the same core + per-core DTM the paper studies —
+ * runs in lockstep on ONE thermal RC network built from a
+ * laterally tiled floorplan (Floorplan::cmpTiled): per-core tiles
+ * coupled at shared edges, an optional shared-L2 strip along the
+ * bottom, one spreader and sink for the whole die, and optionally
+ * a stacked DRAM die above the cores whose banks heat the blocks
+ * beneath them through the bond layer. With one core and no DRAM
+ * layer the die is exactly the paper's single-core floorplan.
  *
  * The engines advance on one thermal clock: every step spans the
  * same cycle range on every core, bounded by the sampling interval
  * and by any in-progress cooling/migration stall so partial chunks
- * land on shared thermal-step boundaries. With cores == 1 and no
- * DRAM layer the loop reproduces the single-core Simulator's
- * floating-point operation sequence exactly — same floorplan, same
- * RC assembly, same sensor-RNG draw order, same stall chunking —
- * so an N=1 CmpSimulator run hashes bit-identically to a Simulator
- * run of the same config (test_cmp holds this invariant).
+ * land on shared thermal-step boundaries.
  *
  * Jobs are bound to tiles through a placement permutation; the
  * cross-core CmpDtmPolicy may swap a near-threshold tile's job
@@ -41,6 +49,7 @@
 #include "common/types.hh"
 #include "sim/cmp/cmp_dtm.hh"
 #include "sim/simulator.hh"
+#include "sim/trace.hh"
 
 namespace tempest
 {
@@ -121,17 +130,24 @@ std::uint64_t hashCmpResult(const CmpResult& r);
 class CmpSimulator
 {
   public:
+    /** Runs config.benchmarks (SPEC2000 profile names). */
     explicit CmpSimulator(const CmpSimConfig& config);
+
+    /** Runs `profiles` instead of config.benchmarks: one per core,
+     * or one replicated across all cores (custom workloads). */
+    CmpSimulator(const CmpSimConfig& config,
+                 const std::vector<BenchmarkProfile>& profiles);
 
     /** Run `max_cycles` thermal-clock cycles and build results. */
     CmpResult run(std::uint64_t max_cycles);
 
     /**
      * Advance lockstep steps until the thermal clock reaches
-     * `end_cycle`. Stalls are atomic exactly as in the single-core
-     * Simulator: a cooling or migration stall in progress drains
-     * to completion before this returns, so piecewise runTo calls
-     * (checkpoint loops) reproduce a monolithic run bit-exactly.
+     * `end_cycle` (absolute, so checkpointed runs continue toward
+     * the same endpoint). Stalls are atomic: a cooling or
+     * migration stall in progress drains to completion before
+     * this returns, so piecewise runTo calls (checkpoint loops)
+     * reproduce a monolithic run bit-exactly.
      */
     void runTo(std::uint64_t end_cycle);
 
@@ -143,8 +159,19 @@ class CmpSimulator
      */
     void stepOnce();
 
-    /** Build end-of-run results from the accumulated statistics. */
+    /** Build end-of-run results from the measured-region
+     * statistics (everything since the last resetMeasurement(),
+     * or since construction). */
     CmpResult result() const;
+
+    /**
+     * Zero the measured-region statistics (activity totals, block
+     * temperature stats, DTM and migration counters) and make
+     * result() report cycles/instructions/IPC relative to this
+     * point. Used by warm-state forking to exclude the shared
+     * warm-up prefix.
+     */
+    void resetMeasurement();
 
     /** Current thermal-clock cycle. */
     std::uint64_t cycle() const { return clockCycle_; }
@@ -154,9 +181,16 @@ class CmpSimulator
      * versioned checkpoint; restores bit-identically. */
     std::string saveCheckpoint() const;
 
-    /** Restore a checkpoint produced by saveCheckpoint(). The
+    /**
+     * Restore a checkpoint produced by saveCheckpoint(). The
      * simulator must match in core count, benchmarks, seeds, and
-     * floorplan geometry; mismatches are fatal(). */
+     * floorplan geometry; mismatches are fatal(). Config-derived
+     * controls (round-robin select, register-port mapping, fetch
+     * throttle when disabled) are re-asserted from *this*
+     * simulator's config afterwards, which is what lets a
+     * warm-state fork restore a neutral warm-up snapshot under its
+     * own DTM configuration.
+     */
     void restoreCheckpoint(const std::string& bytes);
 
     /** Access for tests and tools. */
@@ -165,6 +199,10 @@ class CmpSimulator
     RcModel& thermalModel() { return *rc_; }
     const CmpDtmStats& migrationStats() const;
     const std::vector<int>& tileOfJob() const { return tileOfJob_; }
+
+    /** Attach a trace recorder over the whole die (not owned);
+     * nullptr detaches. */
+    void setTrace(ThermalTrace* trace) { trace_ = trace; }
 
   private:
     /** One job context: core, workload, per-core DTM, stats. */
@@ -182,6 +220,9 @@ class CmpSimulator
         std::uint64_t stallRemaining = 0;
         /** Cumulative L2 misses at the last DRAM power update. */
         std::uint64_t prevL2Misses = 0;
+
+        /** Committed count at the measured-region origin. */
+        std::uint64_t measureStartCommitted = 0;
 
         ActivityRecord total;
         struct ThermalAccum
@@ -225,8 +266,11 @@ class CmpSimulator
     std::vector<int> jobOfTile_; ///< its inverse
 
     std::uint64_t clockCycle_ = 0;
+    /** Clock cycle at the measured-region origin. */
+    std::uint64_t measureStartCycle_ = 0;
     std::uint64_t coolingCycles_ = 0; ///< per GlobalStall trigger
     bool warmed_ = false;
+    ThermalTrace* trace_ = nullptr;
 
     /** Shared blocks (L2, DRAM): averaged over every interval. */
     std::vector<Engine::ThermalAccum> sharedAccum_;
@@ -236,6 +280,7 @@ class CmpSimulator
     std::vector<std::uint8_t> stalledScratch_;
     std::vector<Watt> corePowerScratch_;
     std::vector<Watt> powerScratch_;
+    std::vector<Kelvin> dieTempScratch_;
     std::vector<std::vector<Kelvin>> tileTempScratch_;
     std::vector<Kelvin> tileHottestScratch_;
     std::vector<std::uint8_t> eligibleScratch_;
@@ -259,10 +304,11 @@ struct CmpJobOutcome
 };
 
 /**
- * Run jobs on `threads` worker threads (>= 1). Outcomes come back
- * in job order regardless of scheduling, and each job is a fully
- * independent CmpSimulator, so the results are identical for any
- * thread count (the 1/2/8-thread stability test holds this).
+ * Run jobs on `threads` worker threads (experiments::parallelFor).
+ * Outcomes come back in job order regardless of scheduling, and
+ * each job is a fully independent CmpSimulator, so the results are
+ * identical for any thread count (the 1/2/8-thread stability test
+ * holds this).
  */
 std::vector<CmpJobOutcome> runCmpJobs(const std::vector<CmpJob>& jobs,
                                       int threads);

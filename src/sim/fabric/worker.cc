@@ -14,7 +14,6 @@
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
-#include "workload/profile.hh"
 
 namespace tempest
 {
@@ -72,18 +71,15 @@ executeJob(const FabricJob& job)
             writeCheckpointFile(job.snapshotPath, bytes);
             res.resultHash =
                 checksum64(bytes.data(), bytes.size());
-        } else if (!job.snapshotPath.empty()) {
+        } else {
+            // An empty snapshot path is a cold run.
             const std::string snapshot =
-                readCheckpointFile(job.snapshotPath);
+                job.snapshotPath.empty()
+                    ? std::string()
+                    : readCheckpointFile(job.snapshotPath);
             res.result = experiments::runFromSnapshot(
                 config, job.benchmark, job.seed, snapshot,
                 job.cycles, job.resetMeasurement);
-            res.resultHash =
-                experiments::hashSimResult(res.result);
-            res.hasResult = true;
-        } else {
-            Simulator sim(config, spec2000(job.benchmark));
-            res.result = sim.run(job.cycles);
             res.resultHash =
                 experiments::hashSimResult(res.result);
             res.hasResult = true;

@@ -1,10 +1,7 @@
 #include "sim/runner.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <thread>
 
 #include "common/guarded.hh"
 #include "sim/checkpoint/checkpoint.hh"
@@ -36,6 +33,29 @@ mix64(std::uint64_t z)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/** Run `job` into `out`: time it and capture any exception as
+ * out.error instead of letting it abort the sweep. */
+template <typename Fn>
+void
+captureOutcome(ExperimentOutcome& out, Fn&& job)
+{
+    // det:allow(wallSeconds metric only; never feeds simulation state)
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        out.result = job();
+        out.ok = true;
+    } catch (const std::exception& e) {
+        out.error = e.what();
+    } catch (...) {
+        out.error = "unknown exception";
+    }
+    out.wallSeconds =
+        std::chrono::duration<double>(
+            // det:allow(wallSeconds metric only; never feeds simulation state)
+            std::chrono::steady_clock::now() - start)
+            .count();
 }
 
 } // namespace
@@ -93,24 +113,11 @@ ExperimentRunner::runJob(const ExperimentJob& job,
                    ? deriveRunSeed(base_seed, job.benchmark,
                                    job.tag)
                    : job.config.runSeed;
-    // det:allow(wallSeconds metric only; never feeds simulation state)
-    const auto start = std::chrono::steady_clock::now();
-    try {
-        SimConfig config = job.config;
-        config.runSeed = out.seed;
-        Simulator sim(config, spec2000(job.benchmark));
-        out.result = sim.run(job.cycles);
-        out.ok = true;
-    } catch (const std::exception& e) {
-        out.error = e.what();
-    } catch (...) {
-        out.error = "unknown exception";
-    }
-    out.wallSeconds =
-        std::chrono::duration<double>(
-            // det:allow(wallSeconds metric only; never feeds simulation state)
-            std::chrono::steady_clock::now() - start)
-            .count();
+    captureOutcome(out, [&] {
+        return experiments::runFromSnapshot(
+            job.config, job.benchmark, out.seed, std::string(),
+            job.cycles);
+    });
     return out;
 }
 
@@ -122,88 +129,26 @@ ExperimentRunner::run()
 
     const std::size_t total = jobs.size();
     std::vector<ExperimentOutcome> outcomes(total);
-    if (total == 0)
-        return outcomes;
-
-    int threads = options_.threads > 0 ? options_.threads
-                                       : defaultThreads();
-    threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(threads), total));
-
-    std::atomic<std::size_t> next{0};
     // progress_mutex guards `done` and serializes the progress
     // callback (locals can't carry GUARDED_BY; the lint
     // lock-discipline pass still checks the acquire pairing).
     Mutex progress_mutex;
     std::size_t done = 0;
-
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= total)
-                return;
+    experiments::parallelFor(
+        total,
+        options_.threads > 0 ? options_.threads : defaultThreads(),
+        [&](std::size_t i) {
             outcomes[i] = runJob(jobs[i], options_.baseSeed);
             if (options_.progress) {
                 MutexLock lock(progress_mutex);
                 options_.progress(outcomes[i], ++done, total);
             }
-        }
-    };
-
-    if (threads == 1) {
-        worker();
-        return outcomes;
-    }
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (std::thread& t : pool)
-        t.join();
+        });
     return outcomes;
 }
 
 namespace experiments
 {
-
-namespace
-{
-
-/** Run `fn(i)` for i in [0, total) on `threads` workers, pulling
- * indices from a shared counter. */
-template <typename Fn>
-void
-parallelFor(std::size_t total, int threads, Fn&& fn)
-{
-    if (total == 0)
-        return;
-    threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(threads, 1)), total));
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= total)
-                return;
-            fn(i);
-        }
-    };
-    if (threads == 1) {
-        worker();
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (std::thread& t : pool)
-        t.join();
-}
-
-} // namespace
 
 std::string
 warmSnapshot(const SimConfig& warm_config,
@@ -224,12 +169,14 @@ runFromSnapshot(const SimConfig& config,
                 std::uint64_t measure_cycles,
                 bool reset_measurement)
 {
-    SimConfig forked = config;
-    forked.runSeed = seed;
-    Simulator sim(forked, spec2000(benchmark));
-    sim.restoreCheckpoint(snapshot);
-    if (reset_measurement)
-        sim.resetMeasurement();
+    SimConfig seeded = config;
+    seeded.runSeed = seed;
+    Simulator sim(seeded, spec2000(benchmark));
+    if (!snapshot.empty()) {
+        sim.restoreCheckpoint(snapshot);
+        if (reset_measurement)
+            sim.resetMeasurement();
+    }
     return sim.run(measure_cycles);
 }
 
@@ -287,36 +234,24 @@ runWarmForkSweep(
         out.tag = configs[c].first;
         out.benchmark = benchmarks[b];
         out.seed = warm_seeds[b];
-        // det:allow(wallSeconds metric only; never feeds simulation state)
-        const auto start = std::chrono::steady_clock::now();
         if (!warm_errors[b].empty()) {
             out.error = "warm-up failed: " + warm_errors[b];
         } else {
-            try {
+            captureOutcome(out, [&] {
                 const std::string spilled =
                     warm.spillDir.empty()
                         ? std::string()
                         : readCheckpointFile(
                               warm.spillDir + "/warm_" +
                               benchmarks[b] + ".ckpt");
-                out.result = runFromSnapshot(
+                return runFromSnapshot(
                     configs[c].second, benchmarks[b],
                     warm_seeds[b],
                     warm.spillDir.empty() ? snapshots[b]
                                           : spilled,
                     measure_cycles, warm.resetMeasurement);
-                out.ok = true;
-            } catch (const std::exception& e) {
-                out.error = e.what();
-            } catch (...) {
-                out.error = "unknown exception";
-            }
+            });
         }
-        out.wallSeconds =
-            std::chrono::duration<double>(
-                // det:allow(wallSeconds metric only; never feeds simulation state)
-                std::chrono::steady_clock::now() - start)
-                .count();
         if (options.progress) {
             MutexLock lock(progress_mutex);
             options.progress(out, ++done, total);

@@ -25,10 +25,13 @@
 #ifndef TEMPEST_SIM_RUNNER_HH
 #define TEMPEST_SIM_RUNNER_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -139,6 +142,42 @@ namespace experiments
 {
 
 /**
+ * Run `fn(i)` for every i in [0, total) on min(threads, total)
+ * workers (at least one) that pull indices from a shared counter.
+ * One worker runs inline on the calling thread. Callers store
+ * results by index, so their order never depends on scheduling.
+ */
+template <typename Fn>
+void
+parallelFor(std::size_t total, int threads, Fn&& fn)
+{
+    if (total == 0)
+        return;
+    threads = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(std::max(threads, 1)), total));
+    std::atomic<std::size_t> next{0};
+    auto worker = [&]() {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= total)
+                return;
+            fn(i);
+        }
+    };
+    if (threads == 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t)
+        pool.emplace_back(worker);
+    for (std::thread& t : pool)
+        t.join();
+}
+
+/**
  * Run the cross product of tagged configurations and benchmarks
  * through the runner. Outcome order: configs-major, benchmarks
  * minor (the order the nested loops submit in).
@@ -214,15 +253,18 @@ std::string warmSnapshot(const SimConfig& warm_config,
                          std::uint64_t warmup_cycles);
 
 /**
- * Fork a simulation from `snapshot` under `config` and run
- * `measure_cycles` more cycles — runWarmForkSweep's phase 2 for
- * one job. `config` may differ from the snapshot's warm-up config
- * in DTM technique settings (restoreCheckpoint re-asserts
- * config-derived controls) but must share benchmark, seed, and
- * geometry. With `reset_measurement`, the result covers only the
- * post-fork region. Deterministic: the same
- * (snapshot, config, measure_cycles) always returns a
- * bit-identical SimResult.
+ * Run one simulation job: the one run-one-job path behind
+ * ExperimentRunner, runWarmForkSweep's forks, the serve daemon
+ * and the fabric workers. Builds a simulator for `benchmark` under
+ * `config` with run seed `seed`; an empty `snapshot` is a cold
+ * run from cycle 0, otherwise the run forks from the snapshot and
+ * runs `measure_cycles` more cycles. A fork's `config` may differ
+ * from the snapshot's warm-up config in DTM technique settings
+ * (restoreCheckpoint re-asserts config-derived controls) but must
+ * share benchmark, seed, and geometry. With `reset_measurement`,
+ * a fork's result covers only the post-fork region.
+ * Deterministic: the same arguments always return a bit-identical
+ * SimResult.
  */
 SimResult runFromSnapshot(const SimConfig& config,
                           const std::string& benchmark,

@@ -1,19 +1,13 @@
 /**
  * @file
- * The closed-loop thermal simulator: couples the out-of-order core,
- * the power model, the RC thermal network, the sensor bank, and the
- * DTM policy.
+ * Single-core simulation: the configuration and result types every
+ * driver shares, and Simulator, the one-core front over the
+ * closed-loop engine in sim/cmp/cmp_simulator.hh.
  *
- * The loop mirrors the paper's methodology (§3): execute in
- * 100,000-cycle sampling intervals, convert the interval's activity
- * to per-block power, advance the thermal network, read the
- * sensors, and let the DTM act. A GlobalStall action freezes the
- * core for exactly the thermal cooling time (advanced in
- * sample-interval chunks with clock-gated power, plus a final
- * partial chunk for the remainder). Initial temperatures come from
- * a
- * steady-state solve of the first interval's power, clamped to the
- * thermal threshold, so runs begin thermally warmed.
+ * A single-core run is the engine's N=1 case — one core tile, no
+ * shared L2, no DRAM layer, no migration — so the paper's loop
+ * (§3: run a sampling interval, convert activity to power, step
+ * the RC network, read the sensors, let the DTM act) exists once.
  */
 
 #ifndef TEMPEST_SIM_SIMULATOR_HH
@@ -24,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "dtm/dtm_policy.hh"
 #include "power/power_model.hh"
@@ -85,12 +77,15 @@ struct SimResult
     const BlockTempStats& block(const std::string& name) const;
 };
 
-/** Closed-loop simulator for one benchmark run. */
+class CmpSimulator;
+
+/** Closed-loop simulator for one benchmark run on one core. */
 class Simulator
 {
   public:
     Simulator(const SimConfig& config,
               const BenchmarkProfile& profile);
+    ~Simulator();
 
     /**
      * Run until the core has advanced `max_cycles` cycles
@@ -101,9 +96,9 @@ class Simulator
     /**
      * Advance whole sampling intervals until the core cycle
      * reaches `end_cycle` (an absolute cycle, so checkpointed runs
-     * can continue toward the same endpoint). Intervals are
-     * atomic: a cooling stall triggered inside one completes
-     * before this returns, exactly as in run().
+     * can continue toward the same endpoint). A cooling stall
+     * triggered inside the last interval completes before this
+     * returns, exactly as in run().
      */
     void runTo(std::uint64_t end_cycle);
 
@@ -113,7 +108,7 @@ class Simulator
     SimResult result() const;
 
     /** Current core cycle (checkpoint loop bookkeeping). */
-    std::uint64_t cycle() const { return core_->cycle(); }
+    std::uint64_t cycle() const;
 
     /**
      * Serialize the complete simulation state as a versioned
@@ -125,74 +120,25 @@ class Simulator
     /**
      * Restore a checkpoint produced by saveCheckpoint(). The
      * simulator must have been constructed with the same
-     * benchmark, pipeline geometry, floorplan variant, and run
-     * seed; mismatches are fatal(). Config-derived controls
-     * (round-robin select, register-port mapping, fetch throttle
-     * when disabled) are re-asserted from *this* simulator's
-     * config afterwards, which is what lets a warm-state fork
-     * restore a neutral warm-up snapshot under its own DTM
-     * configuration.
+     * benchmark, floorplan variant, and run seed; mismatches are
+     * fatal(). See CmpSimulator::restoreCheckpoint for the
+     * config-derived controls re-asserted afterwards.
      */
     void restoreCheckpoint(const std::string& bytes);
 
-    /**
-     * Zero the measured-region statistics (activity totals, block
-     * temperature stats, DTM counters) and make result() report
-     * cycles/instructions/IPC relative to this point. Used by
-     * warm-state forking to exclude the shared warm-up prefix.
-     */
+    /** Zero the measured-region statistics; result() then reports
+     * relative to this point (warm-state forking). */
     void resetMeasurement();
 
     /** Access to the live pieces (examples, tests). */
-    OooCore& core() { return *core_; }
-    RcModel& thermalModel() { return *rc_; }
-    ResourceBalancingDtm& dtm() { return *dtm_; }
-    const Floorplan& floorplan() const { return floorplan_; }
-    const SimConfig& config() const { return config_; }
+    RcModel& thermalModel();
+    const Floorplan& floorplan() const;
 
     /** Attach a trace recorder (not owned); nullptr detaches. */
-    void setTrace(ThermalTrace* trace) { trace_ = trace; }
+    void setTrace(ThermalTrace* trace);
 
   private:
-    /**
-     * Simulate one interval of `cycles` cycles (a full sampling
-     * interval normally; cooling stalls may use a final partial
-     * chunk so the stall covers the cooling time exactly).
-     */
-    void runInterval(bool stalled, std::uint64_t cycles);
-
-    SimConfig config_;
-    Floorplan floorplan_;
-    // Pooled backing store for the core's hot-state arrays; must
-    // outlive (so: be declared before) the core.
-    Arena arena_;
-    std::unique_ptr<OooCore> core_;
-    std::unique_ptr<PowerModel> power_;
-    std::unique_ptr<RcModel> rc_;
-    std::unique_ptr<SensorBank> sensors_;
-    std::unique_ptr<ResourceBalancingDtm> dtm_;
-
-    std::vector<Watt> powerScratch_;
-    std::vector<Kelvin> tempsScratch_;
-
-    // Accumulated statistics. The per-block thermal accumulators
-    // are packed into one struct array so the per-interval pass
-    // (sensor read + average + peak + hottest, see runInterval)
-    // touches one contiguous line-sized record per block.
-    struct BlockThermalAccum
-    {
-        RunningStat avg;   ///< non-stalled samples
-        Kelvin maxT = 0.0; ///< includes stalled intervals
-    };
-    ActivityRecord total_;
-    std::vector<BlockThermalAccum> blockAccum_;
-    bool warmed_ = false;
-    ThermalTrace* trace_ = nullptr;
-
-    // Measured-region origin (both 0 unless resetMeasurement()
-    // was called); result() reports relative to these.
-    std::uint64_t measureStartCycle_ = 0;
-    std::uint64_t measureStartCommitted_ = 0;
+    std::unique_ptr<CmpSimulator> engine_;
 };
 
 } // namespace tempest

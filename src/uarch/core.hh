@@ -197,22 +197,22 @@ class OooCore
 
     // The core's saveState covers only the state it owns directly
     // (ROB, completion wheel, done-bit ring, fetch ring); the
-    // components below are serialized as their own checkpoint
-    // chunks by Simulator::saveCheckpoint.
+    // components below are serialized after it, each by its own
+    // saveState, by CmpSimulator::saveEngineContext.
     PipelineConfig config_;    // ckpt:skip(config, supplied by the restoring run)
-    InstructionStream stream_; // ckpt:skip(own chunk: kChunkWorkload)
+    InstructionStream stream_; // ckpt:skip(saved by saveEngineContext)
 
     // ckpt:skip(allocator backing store, rebuilt by the constructor)
     Arena ownArena_; ///< used only when no external arena is given
 
-    IssueQueue intIq_;         // ckpt:skip(own chunk: kChunkIqInt)
-    IssueQueue fpIq_;          // ckpt:skip(own chunk: kChunkIqFp)
+    IssueQueue intIq_;         // ckpt:skip(saved by saveEngineContext)
+    IssueQueue fpIq_;          // ckpt:skip(saved by saveEngineContext)
     SelectNetwork intSelect_;  // ckpt:skip(stateless select trees)
     // ckpt:skip(stateless select trees)
     SelectNetwork fpSelect_; ///< trees for FP adders + multiplier
-    AluPool alus_;             // ckpt:skip(own chunk: kChunkAlus)
-    RegisterFile intRegfile_;  // ckpt:skip(own chunk: kChunkRegfile)
-    DataHierarchy caches_;     // ckpt:skip(own chunk: kChunkCaches)
+    AluPool alus_;             // ckpt:skip(saved by saveEngineContext)
+    RegisterFile intRegfile_;  // ckpt:skip(saved by saveEngineContext)
+    DataHierarchy caches_;     // ckpt:skip(saved by saveEngineContext)
 
     // Reorder buffer (active list) as a ring, structure-of-arrays:
     // sequence numbers in one array, the per-entry booleans as

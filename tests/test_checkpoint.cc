@@ -9,9 +9,9 @@
  * in-memory fork path and through a disk round-trip. On top of
  * that: corruption (truncation, flipped payload bytes) must fail
  * with a clear FatalError — every single-bit flip in a chunk is
- * caught by the v3 checksum and named by chunk — while payloads
- * stay byte-identical to format v2; identity mismatches must be
- * rejected,
+ * caught by the chunk checksum and named by chunk — while each
+ * component's payload bytes stay what format v3 wrote; identity
+ * mismatches must be rejected,
  * unknown chunks must be skipped (forward compatibility), and the
  * warm-fork sweep must be bit-identical at 1/2/8 threads and
  * between the in-memory and spill-to-disk snapshot paths.
@@ -26,7 +26,7 @@
  * not serialized carry `// ckpt:skip(<reason>)` on their
  * declaration; the reason is mandatory and must be one of:
  * derived/rebuildable cache, config-owned reference, sub-component
- * serialized in its own chunk (Simulator::saveCheckpoint), or
+ * serialized separately (CmpSimulator::saveCheckpoint), or
  * per-cycle scratch. When adding a member to a checkpointable
  * class, either wire it through both visitors (and extend the
  * round-trip coverage here) or annotate it — never leave it bare.
@@ -48,6 +48,7 @@
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "uarch/bpred.hh"
+#include "uarch/core.hh"
 #include "workload/profile.hh"
 
 namespace tempest
@@ -221,6 +222,26 @@ TEST(Checkpoint, ConcurrentWritersToOnePathNeverTearTheFile)
     std::filesystem::remove(path);
 }
 
+TEST(Checkpoint, MeasurementOriginRoundTrips)
+{
+    // A snapshot taken after resetMeasurement() carries the
+    // measured-region origin: the restored run reports the same
+    // post-reset cycles, instructions and statistics.
+    const SimConfig config = seededConfig("iq_toggling", "art");
+    Simulator straight(config, spec2000("art"));
+    straight.runTo(kSaveCycle);
+    straight.resetMeasurement();
+    straight.runTo(kSaveCycle + kSaveCycle / 2);
+    const std::string bytes = straight.saveCheckpoint();
+    const SimResult expect = straight.run(kSaveCycle / 2);
+    EXPECT_EQ(expect.cycles, kSaveCycle);
+
+    Simulator resumed(config, spec2000("art"));
+    resumed.restoreCheckpoint(bytes);
+    EXPECT_EQ(hashSimResult(resumed.run(kSaveCycle / 2)),
+              hashSimResult(expect));
+}
+
 TEST(Checkpoint, TruncatedFileIsAClearError)
 {
     const SimConfig config = seededConfig("iq_base", "art");
@@ -332,7 +353,7 @@ TEST(Checkpoint, UnknownChunksAreSkippedForwardCompatibly)
 
     const CheckpointReader reader(bytes);
     EXPECT_TRUE(reader.has(chunkId("XTRA")));
-    EXPECT_TRUE(reader.has(chunkId("CORE")));
+    EXPECT_TRUE(reader.has(chunkId("JB00")));
 
     Simulator resume(config, profile);
     resume.restoreCheckpoint(bytes);
@@ -445,20 +466,21 @@ TEST(Checkpoint, HugeChunkLengthIsATruncationNotAnOverflow)
 
 TEST(Checkpoint, EverySingleBitFlipInAChunkIsNamed)
 {
-    const std::string bytes = savedAt("iq_toggling", "art", kSaveCycle);
-    const std::vector<ChunkRecord> chunks = chunkRecords(bytes);
-    const auto iq = std::find_if(
-        chunks.begin(), chunks.end(),
-        [](const ChunkRecord& c) { return c.tag == "IQIN"; });
-    ASSERT_NE(iq, chunks.end());
-
-    // A one-chunk container holding the IQIN record keeps the
-    // exhaustive sweep cheap: only that chunk is re-verified.
-    std::string single = bytes.substr(0, 16);
-    const std::uint32_t one = 1;
-    std::memcpy(single.data() + 12, &one, sizeof(one));
-    single += bytes.substr(iq->start, iq->end - iq->start);
+    // A one-chunk container holding the int queue's state (of a
+    // core run for kSaveCycle cycles) keeps the exhaustive sweep
+    // cheap: only that chunk is re-verified.
+    const SimConfig config = seededConfig("iq_toggling", "art");
+    OooCore core(config.pipeline, spec2000("art"), config.runSeed);
+    ActivityRecord activity;
+    core.run(kSaveCycle, activity);
+    CheckpointWriter cp;
+    core.intQueue().saveState(cp.chunk(chunkId("IQIN")));
+    const std::string single = cp.serialize();
     ASSERT_EQ(parseError(single), "");
+    const std::vector<ChunkRecord> chunks = chunkRecords(single);
+    ASSERT_EQ(chunks.size(), 1u);
+    const ChunkRecord* iq = &chunks.front();
+    ASSERT_GE(8 * iq->len, 10'256u);
     const std::size_t payload = 16 + 16;
     std::size_t missed = 0;
     testing::internal::CaptureStderr(); // one fatal() line per flip
@@ -509,13 +531,13 @@ TEST(Checkpoint, EdgeAndTailByteFlipsNameTheirChunk)
     EXPECT_TRUE(sawTail) << "no chunk exercises the tail bytes";
 }
 
-TEST(Checkpoint, VersionTwoFilesAreRejectedNamingBothVersions)
+TEST(Checkpoint, VersionThreeFilesAreRejectedNamingBothVersions)
 {
     std::string bytes = savedAt("iq_base", "art", kSaveCycle);
-    const std::uint32_t v2 = 2;
-    std::memcpy(bytes.data() + 8, &v2, sizeof(v2));
+    const std::uint32_t v3 = 3;
+    std::memcpy(bytes.data() + 8, &v3, sizeof(v3));
     const std::string err = parseError(bytes);
-    EXPECT_NE(err.find("version 2 "), std::string::npos) << err;
+    EXPECT_NE(err.find("version 3 "), std::string::npos) << err;
     EXPECT_NE(err.find("reads version " +
                        std::to_string(kCheckpointVersion)),
               std::string::npos)
@@ -558,15 +580,42 @@ payloadDigest(const std::string& bytes)
     return h;
 }
 
+/** FNV-1a over the first `len` payload bytes of chunk `tag`. */
+std::uint64_t
+chunkPrefixDigest(const std::string& bytes, const std::string& tag,
+                  std::size_t len)
+{
+    for (const ChunkRecord& c : chunkRecords(bytes)) {
+        if (c.tag == tag) {
+            EXPECT_GE(c.len, len) << tag;
+            return fnv1a64(bytes.data() + c.payload,
+                           std::min(len, c.len));
+        }
+    }
+    ADD_FAILURE() << "no chunk " << tag;
+    return 0;
+}
+
 TEST(Checkpoint, PayloadsAreByteIdenticalToFormatVersionTwo)
 {
-    // Format v3 changed only the chunk checksum. These digests and
-    // sizes were measured with a program linked against the last v2
-    // build: any payload or size change would also change the
-    // context size that prices CMP migrations.
+    // Format v4 writes one core in the multicore layout. Each
+    // component's bytes are still what v3 (and v2) wrote: the job
+    // chunk opens with the core, workload, queue, ALU, regfile,
+    // cache and DTM payloads of v3's CORE..CACH and DTMS chunks
+    // (1,069,586 bytes), and CTHM/CSNS equal v3's THRM/SENS. The
+    // component digests were measured with a program linked
+    // against the last v3 build; the whole-snapshot pins were
+    // re-derived with the v4 bump. Any component change would also
+    // change the context size that prices CMP migrations.
     const std::string single = savedAt("iq_toggling", "art", 100'000);
-    EXPECT_EQ(single.size(), 1'072'018u);
-    EXPECT_EQ(payloadDigest(single), 0xc0735ab7732155ebULL);
+    EXPECT_EQ(chunkPrefixDigest(single, "JB00", 1'069'586),
+              0xba09ec7ef3a6e7c8ULL);
+    EXPECT_EQ(chunkPrefixDigest(single, "CTHM", 440),
+              0xf02789ba16bd583aULL);
+    EXPECT_EQ(chunkPrefixDigest(single, "CSNS", 32),
+              0x13f7df434c146971ULL);
+    EXPECT_EQ(single.size(), 1'071'916u);
+    EXPECT_EQ(payloadDigest(single), 0x793daf0c03c28174ULL);
 
     CmpSimConfig cmp;
     cmp.base = experiments::iqBase();
@@ -581,8 +630,8 @@ TEST(Checkpoint, PayloadsAreByteIdenticalToFormatVersionTwo)
     CmpSimulator sim(cmp);
     sim.runTo(100'000);
     const std::string multi = sim.saveCheckpoint();
-    EXPECT_EQ(multi.size(), 2'143'619u);
-    EXPECT_EQ(payloadDigest(multi), 0x3c58c83fde8ac910ULL);
+    EXPECT_EQ(multi.size(), 2'143'643u);
+    EXPECT_EQ(payloadDigest(multi), 0x145eb87b0a651490ULL);
 }
 
 TEST(Checkpoint, BranchPredictorRoundTrips)

@@ -1,28 +1,16 @@
 /**
  * @file
- * Unit tests for the statistics package.
+ * Unit tests for RunningStat.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/log.hh"
 #include "common/stats.hh"
 
 namespace tempest
 {
 namespace
 {
-
-TEST(Counter, IncrementAndAdd)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(RunningStat, EmptyIsZero)
 {
@@ -45,77 +33,6 @@ TEST(RunningStat, MeanMinMax)
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
     s.reset();
     EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(Histogram, BinsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(-1.0);
-    h.sample(0.5);
-    h.sample(9.5);
-    h.sample(10.0);
-    h.sample(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-}
-
-TEST(Histogram, BinCenters)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(9), 9.5);
-}
-
-TEST(Histogram, ApproxMean)
-{
-    Histogram h(0.0, 10.0, 100);
-    for (int i = 0; i < 1000; ++i)
-        h.sample(3.0);
-    EXPECT_NEAR(h.approxMean(), 3.0, 0.06);
-}
-
-TEST(Histogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(0.0, 10.0, 0), FatalError);
-    EXPECT_THROW(Histogram(5.0, 5.0, 4), FatalError);
-    EXPECT_THROW(Histogram(5.0, 1.0, 4), FatalError);
-}
-
-TEST(Histogram, Reset)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.sample(0.5);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.binCount(1), 0u);
-}
-
-TEST(StatGroup, SetGetHas)
-{
-    StatGroup g("core");
-    EXPECT_FALSE(g.has("ipc"));
-    g.set("ipc", 1.5);
-    EXPECT_TRUE(g.has("ipc"));
-    EXPECT_DOUBLE_EQ(g.get("ipc"), 1.5);
-    g.set("ipc", 2.0); // overwrite
-    EXPECT_DOUBLE_EQ(g.get("ipc"), 2.0);
-}
-
-TEST(StatGroup, MissingStatIsFatal)
-{
-    StatGroup g("core");
-    EXPECT_THROW(g.get("nope"), FatalError);
-}
-
-TEST(StatGroup, RenderSortedLines)
-{
-    StatGroup g("x");
-    g.set("b", 2);
-    g.set("a", 1);
-    EXPECT_EQ(g.render(), "x.a 1\nx.b 2\n");
 }
 
 } // namespace

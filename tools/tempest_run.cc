@@ -37,9 +37,9 @@
  * effective config asks for more than one core tile (or a stacked
  * DRAM die), the run goes through the CMP engine: N cores in
  * lockstep on one shared thermal network, per-core DTM plus the
- * cross-core migration policy, one result block per core. A 1-core
- * CMP run is bit-identical to the single-core engine, so --cores 1
- * and no flag print the same result_hash.
+ * cross-core migration policy, one result block per core. The
+ * single-core engine is the 1-core case of the same loop, so
+ * --cores 1 and no flag print the same result_hash.
  *
  * Checkpointing (resumable runs, see DESIGN.md §11):
  *
@@ -167,20 +167,16 @@ runPaperScale(std::uint64_t measure_cycles, int threads)
 }
 
 /**
- * The CMP run path: one lockstep simulation over the shared die,
- * same checkpoint-every/resume discipline as the single-core path
- * (CmpSimulator checkpoints capture every engine, the thermal
- * network, sensors, placement, and any in-flight stall).
+ * Run `sim` (Simulator or CmpSimulator) to `cycles`: first restore
+ * `ckpt_path` when resuming and the file exists, then snapshot to
+ * it every `checkpoint_every` cycles (0: never).
  */
-int
-runCmp(const Config& cfg, std::uint64_t cycles,
-       std::uint64_t checkpoint_every,
-       const std::string& checkpoint_dir, bool resume)
+template <typename Sim>
+void
+runResumable(Sim& sim, std::uint64_t cycles,
+             std::uint64_t checkpoint_every,
+             const std::string& ckpt_path, bool resume)
 {
-    const CmpSimConfig config = cmpConfigFromConfig(cfg);
-    CmpSimulator sim(config);
-    const std::string ckpt_path = checkpoint_dir + "/cmp.ckpt";
-
     if (resume) {
         std::ifstream probe(ckpt_path, std::ios::binary);
         if (probe) {
@@ -206,6 +202,22 @@ runCmp(const Config& cfg, std::uint64_t cycles,
     } else {
         sim.runTo(cycles);
     }
+}
+
+/**
+ * The CMP run path: one lockstep simulation over the shared die
+ * (CmpSimulator checkpoints capture every engine, the thermal
+ * network, sensors, placement, and any in-flight stall).
+ */
+int
+runCmp(const Config& cfg, std::uint64_t cycles,
+       std::uint64_t checkpoint_every,
+       const std::string& checkpoint_dir, bool resume)
+{
+    const CmpSimConfig config = cmpConfigFromConfig(cfg);
+    CmpSimulator sim(config);
+    runResumable(sim, cycles, checkpoint_every,
+                 checkpoint_dir + "/cmp.ckpt", resume);
     const CmpResult r = sim.result();
 
     std::printf("cores        %d\n", config.cores);
@@ -366,8 +378,8 @@ main(int argc, char** argv)
             static_cast<std::uint64_t>(cycles_signed);
 
         // More than one core tile (or a stacked DRAM die) routes
-        // through the CMP engine; plain configs keep the original
-        // single-core path and its outputs byte-for-byte.
+        // through the CMP report; plain configs keep the single-core
+        // report and its outputs byte-for-byte.
         if (cfg.getInt("cmp.cores", 1) > 1 ||
             cfg.getBool("stack.dram", false)) {
             if (!cfg.getString("run.trace_csv", "").empty())
@@ -376,9 +388,6 @@ main(int argc, char** argv)
             return runCmp(cfg, cycles, checkpoint_every,
                           checkpoint_dir, resume);
         }
-
-        const std::string ckpt_path =
-            checkpoint_dir + "/" + bench + ".ckpt";
 
         Simulator sim(simConfigFromConfig(cfg), spec2000(bench));
 
@@ -390,33 +399,8 @@ main(int argc, char** argv)
         if (!trace_path.empty())
             sim.setTrace(&trace);
 
-        if (resume) {
-            std::ifstream probe(ckpt_path, std::ios::binary);
-            if (probe) {
-                probe.close();
-                sim.restoreCheckpoint(
-                    readCheckpointFile(ckpt_path));
-                std::printf("resumed       %s @ cycle %llu\n",
-                            ckpt_path.c_str(),
-                            static_cast<unsigned long long>(
-                                sim.cycle()));
-            } else {
-                inform("--resume: no checkpoint at '", ckpt_path,
-                       "', starting from cycle 0");
-            }
-        }
-
-        if (checkpoint_every > 0) {
-            while (sim.cycle() < cycles) {
-                const std::uint64_t stop = std::min(
-                    cycles, sim.cycle() + checkpoint_every);
-                sim.runTo(stop);
-                writeCheckpointFile(ckpt_path,
-                                    sim.saveCheckpoint());
-            }
-        } else {
-            sim.runTo(cycles);
-        }
+        runResumable(sim, cycles, checkpoint_every,
+                     checkpoint_dir + "/" + bench + ".ckpt", resume);
         const SimResult r = sim.result();
 
         std::printf("benchmark    %s\n", r.benchmark.c_str());
